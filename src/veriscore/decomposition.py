@@ -3,13 +3,13 @@
 Given a partition of unity chi_1, ..., chi_k and a scoring function
 with generator g (quantiles) or phi (expectiles, Huber means), each
 region j gets its own generator by integrating the weighted derivative
-from an anchor point u_j:
+rho_j = chi_j * g' (quantiles) or rho_j = chi_j * phi'' (expectiles,
+Huber means) from an anchor point u_j:
 
-    g_j(u)   = integral of chi_j * g''... for quantiles, of chi_j * g'
-               from u_j to u,
-    phi_j(u) = double integral of chi_j * phi'' (first from the anchor
-               to v, then from the anchor to u),
+    g_j(u)   = integral from u_j to u of rho_j(t) dt,
+    phi_j(u) = integral from u_j to u of (u - t) * rho_j(t) dt,
 
+the second being the double integral of rho_j written as one integral,
 so g = sum g_j and phi = sum phi_j up to affine terms that no score in
 these families can see.  Scoring each region with its own generator
 yields components S_j with sum_j S_j = S.  Each component is itself a
@@ -19,7 +19,7 @@ Strictly positive weights (the arctan pair) keep strict consistency.
 
 Closed forms
 ------------
-When the weighted derivative chi_j * (g' or phi'') is piecewise linear,
+When the weighted derivative rho_j is piecewise linear,
 its antiderivatives are exact piecewise polynomials; with the arctan
 weights they are elementary functions.  Both cases are available
 whenever the weight carries exact antiderivatives and the generator's
@@ -28,9 +28,13 @@ are then evaluated through difference forms that never reference the
 anchor, so components cancel *exactly*, not merely to rounding, for
 forecast and observation on the same side outside the weight's support.
 
-Everything else falls back to adaptive quadrature with target absolute
-tolerance ``quad_tol`` (default 1e-10); a result whose error estimate
-exceeds 1e-7 * max(1, |value|) raises :class:`NumericError`.
+Everything else falls back to adaptive quadrature of the mixture
+integral over [min(x, y), max(x, y)] of rho_j(t) times an elementary
+kernel: 1 for quantiles, |y - t| for expectiles and
+min(|t - y|, nu) / 2 for Huber means, split at the weight's knots and
+at y - nu, y + nu.  The target absolute tolerance is ``quad_tol``
+(default 1e-10); a result whose error estimate exceeds
+1e-7 * max(1, |value|) raises :class:`NumericError`.
 """
 
 from __future__ import annotations
@@ -56,6 +60,23 @@ __all__ = [
 ]
 
 QUAD_TOL_DEFAULT = 1e-10
+
+
+def _one(t):
+    return 1.0
+
+
+def _each(f, *arrays):
+    # f applied to every element of the broadcast arrays, as floats
+    arrays = np.broadcast_arrays(*arrays)
+    flat = [a.ravel() for a in arrays]
+    out = np.array([f(*vals) for vals in zip(*flat)], dtype=float)
+    return out.reshape(arrays[0].shape)
+
+
+def _scalar_or_array(out):
+    out = np.asarray(out)
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -143,15 +164,17 @@ class RegionGenerator:
         d = gen.derivative(t) if gen.family == "g" else gen.second_derivative(t)
         return np.asarray(d, dtype=float) * self.weight(t)
 
-    def _quad(self, lo: float, hi: float) -> float:
+    def _quad(self, lo: float, hi: float, kernel=_one, kinks=()) -> float:
+        # signed integral of density(t) * kernel(t) from lo to hi, split
+        # at the weight's knots and at the kernel's kinks
         if lo == hi:
             return 0.0
         sign = 1.0
         if hi < lo:
             lo, hi, sign = hi, lo, -1.0
-        pts = [k for k in self.weight.finite_knots() if lo < k < hi]
+        pts = [k for k in (*self.weight.finite_knots(), *kinks) if lo < k < hi]
         val, err = integrate.quad(
-            lambda t: float(self._density(np.asarray([t]))[0]),
+            lambda t: float(self._density(np.asarray([t]))[0]) * kernel(t),
             lo,
             hi,
             points=pts or None,
@@ -166,70 +189,50 @@ class RegionGenerator:
             )
         return sign * val
 
+    def _antideriv(self, u: float) -> float:
+        # integral from the anchor to u of density(t): g_j(u) or phi_j'(u)
+        return self._quad(self.anchor, u)
+
+    def _antideriv2(self, u: float) -> float:
+        # phi_j(u): integral from the anchor to u of (u - t) * density(t)
+        return self._quad(self.anchor, u, lambda t: u - t)
+
     # -- anchored pointwise evaluation -------------------------------------
 
     def value(self, u):
         """g_j(u) for g-family bases, phi_j(u) for phi-family bases."""
         u = np.asarray(u, dtype=float)
-        c = self.spec.generator.deriv_const
-        if self._closed:
-            w = self.weight
-            a = self.anchor
-            if self.spec.generator.family == "g":
-                out = c * (w.antideriv(u) - w.antideriv(a))
-            else:
-                out = c * (
-                    w.antideriv2(u) - w.antideriv2(a) - w.antideriv(a) * (u - a)
-                )
-            return float(out) if out.ndim == 0 else out
-        if self.spec.generator.family == "g":
-            flat = np.atleast_1d(u).ravel()
-            vals = np.array([self._quad(self.anchor, t) for t in flat])
+        w, a, c = self.weight, self.anchor, self.spec.generator.deriv_const
+        g_family = self.spec.generator.family == "g"
+        if not self._closed:
+            out = _each(self._antideriv if g_family else self._antideriv2, u)
+        elif g_family:
+            out = c * (w.antideriv(u) - w.antideriv(a))
         else:
-            flat = np.atleast_1d(u).ravel()
-            vals = np.empty(flat.size)
-            for i, t in enumerate(flat):
-                lo, hi, sign = self.anchor, float(t), 1.0
-                if hi < lo:
-                    lo, hi, sign = hi, lo, -1.0
-                if lo == hi:
-                    vals[i] = 0.0
-                    continue
-                val, err = integrate.quad(
-                    lambda v: self._derivative_scalar(v),
-                    lo,
-                    hi,
-                    epsabs=self.quad_tol,
-                    epsrel=1e-10,
-                    limit=300,
-                )
-                if err > 1e-7 * max(1.0, abs(val)):
-                    raise NumericError(
-                        f"nested component quadrature achieved error {err:.2e} only"
-                    )
-                vals[i] = sign * val
-        out = vals.reshape(np.shape(u))
-        return float(out) if out.ndim == 0 else out
-
-    def _derivative_scalar(self, u: float) -> float:
-        return self._quad(self.anchor, float(u))
+            out = c * (w.antideriv2(u) - w.antideriv2(a) - w.antideriv(a) * (u - a))
+        return _scalar_or_array(out)
 
     def derivative(self, u):
         """phi_j'(u); defined for phi-family bases only."""
         if self.spec.generator.family != "phi":
             raise ValidationError("derivative() applies to phi-family bases only")
         u = np.asarray(u, dtype=float)
-        c = self.spec.generator.deriv_const
-        if self._closed:
-            w = self.weight
-            out = c * (w.antideriv(u) - w.antideriv(self.anchor))
-            return float(out) if out.ndim == 0 else out
-        flat = np.atleast_1d(u).ravel()
-        vals = np.array([self._quad(self.anchor, t) for t in flat])
-        out = vals.reshape(np.shape(u))
-        return float(out) if out.ndim == 0 else out
+        if not self._closed:
+            return _scalar_or_array(_each(self._antideriv, u))
+        c, w = self.spec.generator.deriv_const, self.weight
+        return _scalar_or_array(c * (w.antideriv(u) - w.antideriv(self.anchor)))
 
     # -- anchor-free score forms -------------------------------------------
+
+    def _between(self, x, y, kernel, kinks=lambda fy: ()):
+        # integral of density(t) * kernel(t, y) over [min(x, y), max(x, y)]
+        return _each(
+            lambda fx, fy: self._quad(
+                min(fx, fy), max(fx, fy), lambda t: kernel(t, fy), kinks(fy)
+            ),
+            x,
+            y,
+        )
 
     def _gdiff(self, x, y):
         # g_j(x) - g_j(y)
@@ -237,12 +240,7 @@ class RegionGenerator:
             c = self.spec.generator.deriv_const
             w = self.weight
             return c * (w.antideriv(x) - w.antideriv(y))
-        flat_x = np.atleast_1d(x).ravel()
-        flat_y = np.atleast_1d(y).ravel()
-        vals = np.array(
-            [self._quad(fy, fx) for fx, fy in zip(flat_x, flat_y)]
-        )
-        return vals.reshape(np.shape(x))
+        return _each(self._quad, y, x)
 
     def _bregman(self, x, y):
         # phi_j(y) - phi_j(x) - phi_j'(x) * (y - x), computed without the
@@ -251,75 +249,26 @@ class RegionGenerator:
             c = self.spec.generator.deriv_const
             w = self.weight
             return c * (w.double_integral(x, y) - w.antideriv(x) * (y - x))
-        flat_x = np.atleast_1d(x).ravel()
-        flat_y = np.atleast_1d(y).ravel()
-        out = np.empty(flat_x.size)
-        for i, (fx, fy) in enumerate(zip(flat_x, flat_y)):
-            lo, hi = (fx, fy) if fx <= fy else (fy, fx)
-            if lo == hi:
-                out[i] = 0.0
-                continue
-            pts = [k for k in self.weight.finite_knots() if lo < k < hi]
-            val, err = integrate.quad(
-                lambda t: float(self._density(np.asarray([t]))[0]) * abs(fy - t),
-                lo,
-                hi,
-                points=pts or None,
-                epsabs=self.quad_tol,
-                epsrel=1e-10,
-                limit=300,
-            )
-            if err > 1e-7 * max(1.0, abs(val)):
-                raise NumericError(
-                    f"component quadrature on [{lo}, {hi}] achieved error "
-                    f"{err:.2e} only"
-                )
-            out[i] = val
-        return out.reshape(np.shape(x))
+        return self._between(x, y, lambda t, fy: abs(fy - t))
 
     def _huber_form(self, x, y, nu):
         # 0.5 * (phi_j(y) - phi_j(z) + k * phi_j'(x)) with z = y + k,
         # k = cap(x - y, nu).  The recomputed difference d = z - y is used
         # in place of k (they differ by at most one ulp of y), which makes
         # the form anchor-free and exactly zero off-support.
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        k = np.clip(x - y, -nu, nu)
-        z = y + k
-        d = z - y
         if self._closed:
+            k = np.clip(x - y, -nu, nu)
+            z = y + k
+            d = z - y
             c = self.spec.generator.deriv_const
             w = self.weight
             return 0.5 * c * (d * w.antideriv(x) - w.double_integral(y, z))
-        flat_x = np.atleast_1d(x).ravel()
-        flat_y = np.atleast_1d(y).ravel()
-        out = np.empty(flat_x.size)
-        for i, (fx, fy) in enumerate(zip(flat_x, flat_y)):
-            lo, hi = (fx, fy) if fx <= fy else (fy, fx)
-            if lo == hi:
-                out[i] = 0.0
-                continue
-            kinks = set(self.weight.finite_knots())
-            kinks.update((fy - nu, fy + nu))
-            pts = sorted(p for p in kinks if lo < p < hi)
-            val, err = integrate.quad(
-                lambda t: float(self._density(np.asarray([t]))[0])
-                * 0.5
-                * min(abs(t - fy), nu),
-                lo,
-                hi,
-                points=pts or None,
-                epsabs=self.quad_tol,
-                epsrel=1e-10,
-                limit=300,
-            )
-            if err > 1e-7 * max(1.0, abs(val)):
-                raise NumericError(
-                    f"component quadrature on [{lo}, {hi}] achieved error "
-                    f"{err:.2e} only"
-                )
-            out[i] = val
-        return out.reshape(np.shape(x))
+        return self._between(
+            x,
+            y,
+            lambda t, fy: 0.5 * min(abs(t - fy), nu),
+            lambda fy: (fy - nu, fy + nu),
+        )
 
     def score(self, x, y):
         """This region's score component, vectorized like score()."""
@@ -334,8 +283,7 @@ class RegionGenerator:
             out = np.abs(ind - spec.alpha) * self._bregman(x, y)
         else:
             out = self._huber_form(x, y, spec.nu)
-        out = np.asarray(out)
-        return float(out) if out.ndim == 0 else out
+        return _scalar_or_array(out)
 
 
 def region_generator(

@@ -17,10 +17,15 @@ Conventions
 * Weight values at isolated points never matter to any score in this
   package, because every use is through Lebesgue integrals.
 
-Piecewise linear weights (rectangular, trapezoidal, tabulated) carry
-exact first and second antiderivatives, evaluated from per-segment
-polynomial tables.  The arctan pair has closed-form antiderivatives as
-well.  Normalized weights fall back to adaptive quadrature.
+The rectangular, trapezoidal and tabulated kinds are one class,
+:class:`WeightFunction`: a table of breakpoints with a linear piece
+between neighbours and a constant beyond each end.
+``RectangularWeight``, ``TrapezoidalWeight`` and ``TabulatedWeight``
+are named constructors that validate their parameters and build that
+table, which carries exact first and second antiderivatives as
+per-segment polynomials.  The arctan pair has closed-form
+antiderivatives as well.  Normalized weights fall back to adaptive
+quadrature.
 
 Configuration files
 -------------------
@@ -140,14 +145,35 @@ class IntervalDomain:
 REAL_LINE = IntervalDomain()
 
 
-class _PiecewiseLinear:
-    """Exact piecewise-linear form of a weight with antiderivative tables.
+def _finite(x) -> bool:
+    return math.isfinite(x)
+
+
+def _as_float(x, field: str) -> float:
+    try:
+        v = float(x)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{field}: expected a number, got {x!r}") from None
+    if math.isnan(v):
+        raise ValidationError(f"{field}: NaN is not allowed")
+    return v
+
+
+class WeightFunction:
+    """A region weight: piecewise linear, with constant extensions.
 
     ``bounds`` are the finite breakpoints.  Segment k covers
     ``[bounds[k], bounds[k+1])`` with value ``start[k] + slope[k]*(t -
     bounds[k])``.  Below the first breakpoint the weight is the constant
     ``left_val``; at and above the last it is ``right_val``.  An empty
     ``bounds`` means the weight is constant everywhere.
+
+    The rectangular, trapezoidal and tabulated kinds are all this one
+    table.  Their named constructors (:class:`RectangularWeight`,
+    :class:`TrapezoidalWeight`, :class:`TabulatedWeight`) only validate
+    their parameters and build it; ``_fields`` names the parameters that
+    ``config()`` echoes.  The arctan and normalized kinds subclass it
+    and replace evaluation and the integrals with their own.
 
     The antiderivative tables are referenced at a breakpoint adjacent to
     a zero extension, so that on a side where the weight vanishes both
@@ -156,6 +182,10 @@ class _PiecewiseLinear:
     the support of their weight.
     """
 
+    kind = "abstract"
+    _fields: tuple[str, ...] = ()
+    has_exact_integrals = True
+
     def __init__(self, bounds, start, slope, left_val, right_val):
         self.bounds = np.asarray(bounds, dtype=float)
         self.start = np.asarray(start, dtype=float)
@@ -163,6 +193,20 @@ class _PiecewiseLinear:
         self.left_val = float(left_val)
         self.right_val = float(right_val)
         m = self.bounds.size
+        # evaluation: a table without jumps is the linear interpolant of
+        # its knot values; any other is gathered segment by segment, with
+        # the extensions as flat segments 0 and m
+        knot_values = np.append(self.start, self.right_val)
+        smooth = (
+            m > 0
+            and self.left_val == knot_values[0]
+            and np.array_equal(self.slope, np.diff(knot_values) / np.diff(self.bounds))
+        )
+        self._knot_values = knot_values if smooth else None
+        self._base = np.concatenate([self.bounds[:1], self.bounds])
+        self._value0 = np.concatenate([[self.left_val], self.start, [self.right_val]])
+        self._slope0 = np.concatenate([[0.0], self.slope, [0.0]])
+        self._ramps = bool(np.any(self.slope))
         if m == 0:
             self.w1 = np.zeros(0)
             self.w2 = np.zeros(0)
@@ -179,27 +223,53 @@ class _PiecewiseLinear:
         self.w2 = w2 - w2_ref - w1_ref * (self.bounds - t_ref)
         self.w1 = w1 - w1_ref
 
+    def _params(self):
+        # constructor arguments, arrays as lists
+        values = [getattr(self, f) for f in self._fields]
+        return {
+            f: v.tolist() if isinstance(v, np.ndarray) else v
+            for f, v in zip(self._fields, values)
+        }
+
+    def __repr__(self):
+        args = ", ".join(map(str, self._params().values()))
+        return f"{type(self).__name__}({args})"
+
+    def config(self) -> dict:
+        """JSON-serializable description, inverse of the config parser."""
+        params = {f: _num_out(v) for f, v in self._params().items()}
+        return {"kind": self.kind, **params}
+
+    def support(self) -> tuple[float, float]:
+        """Closure of the set where the weight can be positive."""
+        if self.bounds.size == 0:
+            return (-_INF, _INF)
+        lo = float(self.bounds[0]) if self.left_val == 0.0 else -_INF
+        hi = float(self.bounds[-1]) if self.right_val == 0.0 else _INF
+        return (lo, hi)
+
+    def finite_knots(self) -> tuple[float, ...]:
+        """Finite breakpoints, used for probe grids and quadrature."""
+        return tuple(self.bounds.tolist())
+
     def _locate(self, t):
         t = np.asarray(t, dtype=float)
         return t, np.searchsorted(self.bounds, t, side="right")
 
-    def eval(self, t):
-        t, idx = self._locate(t)
-        if self.bounds.size == 0:
-            return np.full_like(t, self.left_val)
-        out = np.empty_like(t)
-        left = idx == 0
-        right = idx == self.bounds.size
-        mid = ~(left | right)
-        out[left] = self.left_val
-        out[right] = self.right_val
-        if np.any(mid):
-            k = idx[mid] - 1
-            s = t[mid] - self.bounds[k]
-            out[mid] = self.start[k] + self.slope[k] * s
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        if self._knot_values is not None:
+            return np.interp(t, self.bounds, self._knot_values)
+        idx = np.searchsorted(self.bounds, t, side="right")
+        out = self._value0[idx]
+        if self._ramps:
+            # clipping keeps the offsets on the extensions finite
+            s = np.clip(t, self.bounds[0], self.bounds[-1]) - self._base[idx]
+            out = out + self._slope0[idx] * s
         return out
 
     def antideriv(self, t):
+        """First antiderivative of the weight, fixed internal reference."""
         t, idx = self._locate(t)
         if self.bounds.size == 0:
             return self.left_val * t
@@ -216,6 +286,7 @@ class _PiecewiseLinear:
         return out
 
     def antideriv2(self, t):
+        """Second antiderivative consistent with ``antideriv``."""
         t, idx = self._locate(t)
         if self.bounds.size == 0:
             return 0.5 * self.left_val * t * t
@@ -239,7 +310,7 @@ class _PiecewiseLinear:
         return out
 
     def double_integral(self, lo, hi):
-        """Signed integral of the first antiderivative from lo to hi.
+        """Signed integral of ``antideriv`` between lo and hi.
 
         When both endpoints sit on the same constant extension the value
         is computed in factored form, so that score components cancel
@@ -269,68 +340,11 @@ class _PiecewiseLinear:
             )
         return out.reshape(shape)
 
-
-def _finite(x) -> bool:
-    return math.isfinite(x)
-
-
-def _as_float(x, field: str) -> float:
-    try:
-        v = float(x)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{field}: expected a number, got {x!r}") from None
-    if math.isnan(v):
-        raise ValidationError(f"{field}: NaN is not allowed")
-    return v
-
-
-class WeightFunction:
-    """Base class for region weights.
-
-    Subclasses implement ``__call__`` (vectorized evaluation) and
-    ``support``.  Piecewise-linear kinds provide a ``_PiecewiseLinear``
-    form; the arctan kinds provide analytic antiderivatives; normalized
-    weights provide neither and force quadrature downstream.
-    """
-
-    kind = "abstract"
-
-    def __call__(self, t):
-        raise NotImplementedError
-
-    def support(self) -> tuple[float, float]:
-        """Closure of the set where the weight can be positive."""
-        raise NotImplementedError
-
-    def finite_knots(self) -> tuple[float, ...]:
-        """Finite parameters, used to build probe grids."""
-        return ()
-
-    @property
-    def has_exact_integrals(self) -> bool:
-        return False
-
-    def antideriv(self, t):
-        """First antiderivative of the weight, fixed internal reference."""
-        raise NotImplementedError(f"{self.kind} weight has no exact antiderivative")
-
-    def antideriv2(self, t):
-        """Second antiderivative consistent with ``antideriv``."""
-        raise NotImplementedError(f"{self.kind} weight has no exact antiderivative")
-
-    def double_integral(self, lo, hi):
-        """Signed integral of ``antideriv`` between lo and hi."""
-        raise NotImplementedError(f"{self.kind} weight has no exact antiderivative")
-
     def integral(self, lo, hi):
         """Signed integral of the weight itself between lo and hi."""
         if self.has_exact_integrals:
             return self.antideriv(hi) - self.antideriv(lo)
         return _quad_weight(self, lo, hi)
-
-    def config(self) -> dict:
-        """JSON-serializable description, inverse of the config parser."""
-        raise NotImplementedError
 
 
 def _quad_weight(w: WeightFunction, lo, hi):
@@ -361,54 +375,37 @@ def _quad_weight(w: WeightFunction, lo, hi):
     return out if out.shape else float(flat[0])
 
 
+def _trapezoid_table(a, b, c, d):
+    # (bounds, start, slope, left_val, right_val) of a validated trapezoid
+    pieces = []  # (lo, hi, start_value, slope); ramps have finite ends
+    if a < b:
+        pieces.append((a, b, 0.0, 1.0 / (b - a)))
+    if _finite(b) and _finite(c) and b < c:
+        pieces.append((b, c, 1.0, 0.0))
+    if c < d:
+        pieces.append((c, d, 1.0, -1.0 / (d - c)))
+    if pieces:
+        bounds = [p[0] for p in pieces] + [pieces[-1][1]]
+    else:
+        # a single jump at the one finite edge, or the constant one
+        bounds = [v for v in (a, d) if _finite(v)]
+    start = [p[2] for p in pieces]
+    slope = [p[3] for p in pieces]
+    return bounds, start, slope, float(not _finite(a)), float(not _finite(d))
+
+
 class RectangularWeight(WeightFunction):
     """Indicator of the half-open cell [a, b); endpoints may be infinite."""
 
     kind = "rectangular"
+    _fields = ("a", "b")
 
     def __init__(self, a, b):
         a, b = _as_float(a, "rectangular.a"), _as_float(b, "rectangular.b")
         if not a < b:
             raise ValidationError(f"rectangular weight needs a < b, got a={a}, b={b}")
         self.a, self.b = a, b
-        if _finite(a) and _finite(b):
-            pl = _PiecewiseLinear([a, b], [1.0], [0.0], 0.0, 0.0)
-        elif _finite(a):
-            pl = _PiecewiseLinear([a], [], [], 0.0, 1.0)
-        elif _finite(b):
-            pl = _PiecewiseLinear([b], [], [], 1.0, 0.0)
-        else:
-            pl = _PiecewiseLinear([], [], [], 1.0, 1.0)
-        self._pl = pl
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        return ((t >= self.a) & (t < self.b)).astype(float)
-
-    def __repr__(self):
-        return f"RectangularWeight({self.a}, {self.b})"
-
-    def support(self):
-        return (self.a, self.b)
-
-    def finite_knots(self):
-        return tuple(v for v in (self.a, self.b) if _finite(v))
-
-    @property
-    def has_exact_integrals(self):
-        return True
-
-    def antideriv(self, t):
-        return self._pl.antideriv(t)
-
-    def antideriv2(self, t):
-        return self._pl.antideriv2(t)
-
-    def double_integral(self, lo, hi):
-        return self._pl.double_integral(lo, hi)
-
-    def config(self):
-        return {"kind": self.kind, "a": _num_out(self.a), "b": _num_out(self.b)}
+        super().__init__(*_trapezoid_table(a, a, b, b))
 
 
 class TrapezoidalWeight(WeightFunction):
@@ -420,6 +417,7 @@ class TrapezoidalWeight(WeightFunction):
     """
 
     kind = "trapezoidal"
+    _fields = ("a", "b", "c", "d")
 
     def __init__(self, a, b, c, d):
         a = _as_float(a, "trapezoidal.a")
@@ -436,163 +434,12 @@ class TrapezoidalWeight(WeightFunction):
             raise ValidationError("an infinite right edge requires c = d = +inf")
         if a == d:
             raise ValidationError("trapezoidal weight has empty support (a == d)")
-        self.a, self.b, self.c, self.d = a, b, c, d
-        pieces = []  # (lo, hi, start_value, slope)
-        if _finite(a) and a < b:
-            pieces.append((a, b, 0.0, 1.0 / (b - a)))
-        if _finite(b) and _finite(c) and b < c:
-            pieces.append((b, c, 1.0, 0.0))
-        if _finite(d) and c < d:
-            pieces.append((c, d, 1.0, -1.0 / (d - c)))
-        if pieces:
-            bounds = [p[0] for p in pieces] + [pieces[-1][1]]
-            start = [p[2] for p in pieces]
-            slope = [p[3] for p in pieces]
-        else:
-            bounds, start, slope = [], [], []
-        left_val = 1.0 if not _finite(a) else 0.0
-        right_val = 1.0 if not _finite(d) else 0.0
-        if not pieces and not (left_val == 1.0 and right_val == 1.0):
-            # only the everywhere-1 weight may have no finite pieces
+        if (_finite(a) and not _finite(b)) or (_finite(d) and not _finite(c)):
             raise ValidationError(
-                f"trapezoidal weight {(a, b, c, d)} degenerates to the zero function"
+                f"trapezoidal weight {(a, b, c, d)} has a ramp of infinite length"
             )
-        self._pl = _PiecewiseLinear(bounds, start, slope, left_val, right_val)
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        return self._pl.eval(t)
-
-    def __repr__(self):
-        return f"TrapezoidalWeight({self.a}, {self.b}, {self.c}, {self.d})"
-
-    def support(self):
-        return (self.a, self.d)
-
-    def finite_knots(self):
-        return tuple(v for v in (self.a, self.b, self.c, self.d) if _finite(v))
-
-    @property
-    def has_exact_integrals(self):
-        return True
-
-    def antideriv(self, t):
-        return self._pl.antideriv(t)
-
-    def antideriv2(self, t):
-        return self._pl.antideriv2(t)
-
-    def double_integral(self, lo, hi):
-        return self._pl.double_integral(lo, hi)
-
-    def config(self):
-        return {
-            "kind": self.kind,
-            "a": _num_out(self.a),
-            "b": _num_out(self.b),
-            "c": _num_out(self.c),
-            "d": _num_out(self.d),
-        }
-
-
-def _arctan_antideriv(s):
-    # antiderivative of arctan(s)/pi + 1/2 in the shifted variable s
-    return 0.5 * s + (s * np.arctan(s) - 0.5 * np.log1p(s * s)) / np.pi
-
-
-def _arctan_antideriv2(s):
-    # antiderivative of _arctan_antideriv
-    p2 = 0.5 * (s * s - 1.0) * np.arctan(s) + 0.5 * s - 0.5 * s * np.log1p(s * s)
-    return 0.25 * s * s + p2 / np.pi
-
-
-class ArctanUpperWeight(WeightFunction):
-    """Smooth, strictly positive weight 1/2 + arctan(t - center)/pi."""
-
-    kind = "arctan_upper"
-
-    def __init__(self, center):
-        c = _as_float(center, "arctan_upper.center")
-        if not _finite(c):
-            raise ValidationError("arctan weight center must be finite")
-        self.center = c
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        return 0.5 + np.arctan(t - self.center) / np.pi
-
-    def __repr__(self):
-        return f"ArctanUpperWeight({self.center})"
-
-    def support(self):
-        return (-_INF, _INF)
-
-    def finite_knots(self):
-        return (self.center,)
-
-    @property
-    def has_exact_integrals(self):
-        return True
-
-    def antideriv(self, t):
-        t = np.asarray(t, dtype=float)
-        return _arctan_antideriv(t - self.center)
-
-    def antideriv2(self, t):
-        # antideriv works in the shifted variable s = t - center, so its
-        # own antiderivative is the shifted second antiderivative as is
-        t = np.asarray(t, dtype=float)
-        return _arctan_antideriv2(t - self.center)
-
-    def double_integral(self, lo, hi):
-        return self.antideriv2(hi) - self.antideriv2(lo)
-
-    def config(self):
-        return {"kind": self.kind, "center": self.center}
-
-
-class ArctanLowerWeight(WeightFunction):
-    """Complement 1/2 - arctan(t - center)/pi of the upper arctan weight."""
-
-    kind = "arctan_lower"
-
-    def __init__(self, center):
-        c = _as_float(center, "arctan_lower.center")
-        if not _finite(c):
-            raise ValidationError("arctan weight center must be finite")
-        self.center = c
-        self._upper = ArctanUpperWeight(c)
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        return 0.5 - np.arctan(t - self.center) / np.pi
-
-    def __repr__(self):
-        return f"ArctanLowerWeight({self.center})"
-
-    def support(self):
-        return (-_INF, _INF)
-
-    def finite_knots(self):
-        return (self.center,)
-
-    @property
-    def has_exact_integrals(self):
-        return True
-
-    def antideriv(self, t):
-        t = np.asarray(t, dtype=float)
-        return t - self._upper.antideriv(t)
-
-    def antideriv2(self, t):
-        t = np.asarray(t, dtype=float)
-        return 0.5 * t * t - self._upper.antideriv2(t)
-
-    def double_integral(self, lo, hi):
-        return self.antideriv2(hi) - self.antideriv2(lo)
-
-    def config(self):
-        return {"kind": self.kind, "center": self.center}
+        self.a, self.b, self.c, self.d = a, b, c, d
+        super().__init__(*_trapezoid_table(a, b, c, d))
 
 
 class TabulatedWeight(WeightFunction):
@@ -602,6 +449,7 @@ class TabulatedWeight(WeightFunction):
     """
 
     kind = "tabulated"
+    _fields = ("breakpoints", "values")
 
     def __init__(self, breakpoints, values):
         bp = np.asarray(breakpoints, dtype=float)
@@ -620,43 +468,76 @@ class TabulatedWeight(WeightFunction):
             raise ValidationError("tabulated values must lie in [0, 1]")
         self.breakpoints = bp
         self.values = v
-        slope = np.diff(v) / np.diff(bp)
-        self._pl = _PiecewiseLinear(bp, v[:-1], slope, v[0], v[-1])
+        super().__init__(bp, v[:-1], np.diff(v) / np.diff(bp), v[0], v[-1])
+
+
+def _arctan_antideriv(s):
+    # antiderivative of arctan(s)/pi + 1/2 in the shifted variable s
+    return 0.5 * s + (s * np.arctan(s) - 0.5 * np.log1p(s * s)) / np.pi
+
+
+def _arctan_antideriv2(s):
+    # antiderivative of _arctan_antideriv
+    p2 = 0.5 * (s * s - 1.0) * np.arctan(s) + 0.5 * s - 0.5 * s * np.log1p(s * s)
+    return 0.25 * s * s + p2 / np.pi
+
+
+class _ArctanWeight(WeightFunction):
+    # shared parts of the arctan pair, which has closed-form antiderivatives
+    _fields = ("center",)
+
+    def __init__(self, center):
+        c = _as_float(center, f"{self.kind}.center")
+        if not _finite(c):
+            raise ValidationError("arctan weight center must be finite")
+        self.center = c
+
+    def support(self):
+        return (-_INF, _INF)
+
+    def finite_knots(self):
+        return (self.center,)
+
+    def double_integral(self, lo, hi):
+        return self.antideriv2(hi) - self.antideriv2(lo)
+
+
+class ArctanUpperWeight(_ArctanWeight):
+    """Smooth, strictly positive weight 1/2 + arctan(t - center)/pi."""
+
+    kind = "arctan_upper"
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        return np.interp(t, self.breakpoints, self.values)
-
-    def __repr__(self):
-        return f"TabulatedWeight({self.breakpoints.tolist()}, {self.values.tolist()})"
-
-    def support(self):
-        lo = self.breakpoints[0] if self.values[0] == 0.0 else -_INF
-        hi = self.breakpoints[-1] if self.values[-1] == 0.0 else _INF
-        return (lo, hi)
-
-    def finite_knots(self):
-        return tuple(self.breakpoints.tolist())
-
-    @property
-    def has_exact_integrals(self):
-        return True
+        return 0.5 + np.arctan(t - self.center) / np.pi
 
     def antideriv(self, t):
-        return self._pl.antideriv(t)
+        t = np.asarray(t, dtype=float)
+        return _arctan_antideriv(t - self.center)
 
     def antideriv2(self, t):
-        return self._pl.antideriv2(t)
+        # antideriv works in the shifted variable s = t - center, so its
+        # own antiderivative is the shifted second antiderivative as is
+        t = np.asarray(t, dtype=float)
+        return _arctan_antideriv2(t - self.center)
 
-    def double_integral(self, lo, hi):
-        return self._pl.double_integral(lo, hi)
 
-    def config(self):
-        return {
-            "kind": self.kind,
-            "breakpoints": self.breakpoints.tolist(),
-            "values": self.values.tolist(),
-        }
+class ArctanLowerWeight(_ArctanWeight):
+    """Complement 1/2 - arctan(t - center)/pi of the upper arctan weight."""
+
+    kind = "arctan_lower"
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        return 0.5 - np.arctan(t - self.center) / np.pi
+
+    def antideriv(self, t):
+        t = np.asarray(t, dtype=float)
+        return t - _arctan_antideriv(t - self.center)
+
+    def antideriv2(self, t):
+        t = np.asarray(t, dtype=float)
+        return 0.5 * t * t - _arctan_antideriv2(t - self.center)
 
 
 class NormalizedWeight(WeightFunction):
@@ -669,6 +550,7 @@ class NormalizedWeight(WeightFunction):
     """
 
     kind = "normalized"
+    has_exact_integrals = False
 
     def __init__(self, index, components):
         components = tuple(components)
@@ -701,6 +583,11 @@ class NormalizedWeight(WeightFunction):
 
     def support(self):
         return (-_INF, _INF)
+
+    def antideriv(self, *args):
+        raise NotImplementedError(f"{self.kind} weight has no exact antiderivative")
+
+    antideriv2 = double_integral = antideriv
 
     def finite_knots(self):
         knots = []

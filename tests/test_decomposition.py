@@ -127,6 +127,30 @@ def test_closed_form_flag_and_quadrature_agreement():
     np.testing.assert_allclose(
         r_fast.score(x, y), r_slow.score(x, y), rtol=0, atol=1e-9
     )
+    # anchored values and derivatives on the quadrature path
+    u = np.linspace(-6.0, 9.0, 31)
+    for anchor in (0.0, 3.0, -2.0):
+        a_fast = region_generator(fast, w, anchor=anchor)
+        a_slow = region_generator(slow, w, anchor=anchor)
+        np.testing.assert_allclose(
+            a_slow.value(u), a_fast.value(u), rtol=0, atol=1e-9
+        )
+        np.testing.assert_allclose(
+            a_slow.derivative(u), a_fast.derivative(u), rtol=0, atol=1e-9
+        )
+
+
+def test_zero_width_outer_ramp_matches_rectangular_cells():
+    # a ramp with lo == hi is a jump: the same table as a cut point
+    trap = trapezoidal_partition([(5.0, 5.0)])
+    rect = rectangular_partition([5.0])
+    rng = np.random.default_rng(15)
+    x = np.concatenate([rng.uniform(-10, 20, 200), [5.0, 4.0, 6.0]])
+    y = np.concatenate([rng.uniform(-10, 20, 200), [7.0, 5.0, 5.0]])
+    for spec in (quantile_score(0.3), expectile_score(0.7), huber_loss(1.5)):
+        got = score_components(decompose(spec, trap), x, y)
+        want = score_components(decompose(spec, rect), x, y)
+        assert np.array_equal(got, want)
 
 
 def test_quadrature_path_quantile_and_huber():

@@ -97,6 +97,19 @@ def test_trapezoidal_collapsed_and_infinite():
         TrapezoidalWeight(3.0, 2.0, 4.0, 5.0)
     with pytest.raises(ValidationError):
         TrapezoidalWeight(1.0, 1.0, 1.0, 1.0)  # zero function
+    with pytest.raises(ValidationError, match="infinite length"):
+        TrapezoidalWeight(0.0, np.inf, np.inf, np.inf)
+    with pytest.raises(ValidationError, match="infinite length"):
+        TrapezoidalWeight(-np.inf, -np.inf, -np.inf, 0.0)
+    # zero-width outer ramps are jumps, as for rectangular cells
+    inf = np.inf
+    for trap, rect in (
+        (TrapezoidalWeight(2.0, 2.0, inf, inf), RectangularWeight(2.0, inf)),
+        (TrapezoidalWeight(-inf, -inf, 2.0, 2.0), RectangularWeight(-inf, 2.0)),
+    ):
+        t = np.array([-1e8, 1.999, 2.0, 2.001, 1e8])
+        np.testing.assert_array_equal(trap(t), rect(t))
+        assert trap.support() == rect.support()
 
 
 def test_arctan_pair_values_and_complement():
@@ -228,6 +241,50 @@ def test_config_round_trip(tmp_path):
     path.write_text(json.dumps(cfg))
     p3 = load_partition_config(path)
     assert partition_config(p3) == cfg
+    tabulated = [
+        TabulatedWeight([-5.0, 0.0, 5.0], [0.5, 0.9, 0.5]),
+        TabulatedWeight([-5.0, 0.0, 5.0], [1.0, 0.3, 1.0]),
+    ]
+    partitions = [
+        rectangular_partition([-10.0, 0.0, 10.0]),
+        rectangular_partition([2.0], IntervalDomain(0.0, 6.0)),
+        trapezoidal_partition([(-2.0, 0.0), (3.0, 5.0)]),
+        trapezoidal_partition([(5.0, 5.0)]),
+        PartitionOfUnity(
+            [
+                TabulatedWeight([0.0, 1.0], [1.0, 0.0]),
+                TabulatedWeight([0.0, 1.0], [0.0, 1.0]),
+            ]
+        ),
+        arctan_pair(10.0),
+        normalized_partition(list(rectangular_partition([0.0]))),
+        normalized_partition(tabulated),
+    ]
+    for p in partitions:
+        cfg = partition_config(p)
+        echo = json.loads(json.dumps(cfg))
+        assert partition_config(parse_partition_config(echo)) == cfg
+    assert partitions[0].weights[0].config() == {
+        "kind": "rectangular",
+        "a": "-inf",
+        "b": -10.0,
+    }
+    assert partitions[3].weights[1].config() == {
+        "kind": "trapezoidal",
+        "a": 5.0,
+        "b": 5.0,
+        "c": "inf",
+        "d": "inf",
+    }
+    assert tabulated[0].config() == {
+        "kind": "tabulated",
+        "breakpoints": [-5.0, 0.0, 5.0],
+        "values": [0.5, 0.9, 0.5],
+    }
+    assert partitions[5].weights[0].config() == {
+        "kind": "arctan_lower",
+        "center": 10.0,
+    }
 
 
 def test_config_cutpoints_shorthand():
@@ -267,6 +324,7 @@ def test_antiderivative_chain_by_finite_differences():
         TrapezoidalWeight(-1.0, 0.0, 2.0, 4.0),
         RectangularWeight(-2.0, 3.0),
         TabulatedWeight([-2.0, 0.0, 3.0], [0.2, 0.9, 0.4]),
+        TrapezoidalWeight(1.0, 1.0, np.inf, np.inf),
     ):
         # probe between knots so the central difference sees a smooth piece
         t = np.linspace(-6.0, 8.0, 113) + 0.0037
