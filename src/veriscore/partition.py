@@ -172,8 +172,11 @@ class WeightFunction:
     table.  Their named constructors (:class:`RectangularWeight`,
     :class:`TrapezoidalWeight`, :class:`TabulatedWeight`) only validate
     their parameters and build it; ``_fields`` names the parameters that
-    ``config()`` echoes.  The arctan and normalized kinds subclass it
-    and replace evaluation and the integrals with their own.
+    ``config()`` echoes.  A subclass that builds no table keeps
+    ``bounds = None`` and implements ``__call__`` (and ``support`` where
+    it is narrower than the real line).  It has no exact integrals, so
+    scores built on it go through quadrature, and no ``config()`` form,
+    unless it supplies its own, as the arctan pair does.
 
     The antiderivative tables are referenced at a breakpoint adjacent to
     a zero extension, so that on a side where the weight vanishes both
@@ -184,7 +187,8 @@ class WeightFunction:
 
     kind = "abstract"
     _fields: tuple[str, ...] = ()
-    has_exact_integrals = True
+    bounds = None
+    has_exact_integrals = False
 
     def __init__(self, bounds, start, slope, left_val, right_val):
         self.bounds = np.asarray(bounds, dtype=float)
@@ -192,17 +196,10 @@ class WeightFunction:
         self.slope = np.asarray(slope, dtype=float)
         self.left_val = float(left_val)
         self.right_val = float(right_val)
+        self.has_exact_integrals = True
         m = self.bounds.size
-        # evaluation: a table without jumps is the linear interpolant of
-        # its knot values; any other is gathered segment by segment, with
-        # the extensions as flat segments 0 and m
-        knot_values = np.append(self.start, self.right_val)
-        smooth = (
-            m > 0
-            and self.left_val == knot_values[0]
-            and np.array_equal(self.slope, np.diff(knot_values) / np.diff(self.bounds))
-        )
-        self._knot_values = knot_values if smooth else None
+        # evaluation gathers segment by segment, with the extensions as
+        # flat segments 0 and m
         self._base = np.concatenate([self.bounds[:1], self.bounds])
         self._value0 = np.concatenate([[self.left_val], self.start, [self.right_val]])
         self._slope0 = np.concatenate([[0.0], self.slope, [0.0]])
@@ -237,12 +234,14 @@ class WeightFunction:
 
     def config(self) -> dict:
         """JSON-serializable description, inverse of the config parser."""
+        if not self._fields:
+            raise NotImplementedError(f"{self.kind} weight has no config form")
         params = {f: _num_out(v) for f, v in self._params().items()}
         return {"kind": self.kind, **params}
 
     def support(self) -> tuple[float, float]:
         """Closure of the set where the weight can be positive."""
-        if self.bounds.size == 0:
+        if self.bounds is None or self.bounds.size == 0:
             return (-_INF, _INF)
         lo = float(self.bounds[0]) if self.left_val == 0.0 else -_INF
         hi = float(self.bounds[-1]) if self.right_val == 0.0 else _INF
@@ -250,21 +249,21 @@ class WeightFunction:
 
     def finite_knots(self) -> tuple[float, ...]:
         """Finite breakpoints, used for probe grids and quadrature."""
-        return tuple(self.bounds.tolist())
+        return () if self.bounds is None else tuple(self.bounds.tolist())
 
     def _locate(self, t):
+        if self.bounds is None:
+            raise NotImplementedError(f"{self.kind} weight has no exact antiderivative")
         t = np.asarray(t, dtype=float)
         return t, np.searchsorted(self.bounds, t, side="right")
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        if self._knot_values is not None:
-            return np.interp(t, self.bounds, self._knot_values)
-        idx = np.searchsorted(self.bounds, t, side="right")
+        t, idx = self._locate(t)
         out = self._value0[idx]
         if self._ramps:
             # clipping keeps the offsets on the extensions finite
-            s = np.clip(t, self.bounds[0], self.bounds[-1]) - self._base[idx]
+            s = np.minimum(np.maximum(t, self.bounds[0]), self.bounds[-1])
+            s = s - self._base[idx]
             out = out + self._slope0[idx] * s
         return out
 
@@ -316,6 +315,8 @@ class WeightFunction:
         is computed in factored form, so that score components cancel
         exactly there (see class docstring).
         """
+        if self.bounds is None:
+            raise NotImplementedError(f"{self.kind} weight has no exact antiderivative")
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
         shape = np.broadcast(lo, hi).shape
@@ -485,15 +486,13 @@ def _arctan_antideriv2(s):
 class _ArctanWeight(WeightFunction):
     # shared parts of the arctan pair, which has closed-form antiderivatives
     _fields = ("center",)
+    has_exact_integrals = True
 
     def __init__(self, center):
         c = _as_float(center, f"{self.kind}.center")
         if not _finite(c):
             raise ValidationError("arctan weight center must be finite")
         self.center = c
-
-    def support(self):
-        return (-_INF, _INF)
 
     def finite_knots(self):
         return (self.center,)
@@ -550,7 +549,6 @@ class NormalizedWeight(WeightFunction):
     """
 
     kind = "normalized"
-    has_exact_integrals = False
 
     def __init__(self, index, components):
         components = tuple(components)
@@ -580,14 +578,6 @@ class NormalizedWeight(WeightFunction):
 
     def __repr__(self):
         return f"NormalizedWeight(index={self.index}, components={len(self.components)})"
-
-    def support(self):
-        return (-_INF, _INF)
-
-    def antideriv(self, *args):
-        raise NotImplementedError(f"{self.kind} weight has no exact antiderivative")
-
-    antideriv2 = double_integral = antideriv
 
     def finite_knots(self):
         knots = []

@@ -7,10 +7,12 @@ from veriscore import (
     ArctanLowerWeight,
     ArctanUpperWeight,
     GeneratorSpec,
+    PartitionOfUnity,
     RectangularWeight,
     ScoringSpec,
     TrapezoidalWeight,
     ValidationError,
+    WeightFunction,
     arctan_pair,
     decompose,
     expectile_score,
@@ -224,6 +226,47 @@ def test_normalized_partition_components_still_sum():
     total = score(expectile_score(0.4), x, y)
     comp = score_components(regions, x, y).sum(axis=0)
     np.testing.assert_allclose(comp, total, rtol=0, atol=1e-8)
+
+
+class _CosineRamp(WeightFunction):
+    # a user-defined weight: only __call__ and support, no knot table
+    kind = "cosine_ramp"
+
+    def __init__(self, upper):
+        self.upper = upper
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        up = 0.5 - 0.5 * np.cos(np.pi * np.clip(0.5 * t, 0.0, 1.0))
+        return up if self.upper else 1.0 - up
+
+    def support(self):
+        return (0.0, np.inf) if self.upper else (-np.inf, 2.0)
+
+
+def test_custom_weight_subclass_goes_through_quadrature():
+    lower, upper = _CosineRamp(False), _CosineRamp(True)
+    partition = PartitionOfUnity([lower, upper])
+    assert upper.finite_knots() == ()
+    assert not upper.has_exact_integrals
+    assert upper.integral(0.0, 2.0) == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(NotImplementedError):
+        upper.antideriv(1.0)
+    with pytest.raises(NotImplementedError):
+        upper.double_integral(0.0, 1.0)
+    with pytest.raises(NotImplementedError):
+        upper.config()
+    rng = np.random.default_rng(16)
+    x = rng.uniform(-3, 5, 15)
+    y = rng.uniform(-3, 5, 15)
+    for spec in (quantile_score(0.3), expectile_score(0.6), huber_loss(1.0)):
+        regions = decompose(spec, partition)
+        assert not any(r.has_closed_form for r in regions)
+        comp = score_components(regions, x, y)
+        assert np.all(comp >= 0.0)
+        np.testing.assert_allclose(
+            comp.sum(axis=0), score(spec, x, y), rtol=0, atol=1e-9
+        )
 
 
 def test_decompose_anchor_overrides_and_length_check():
