@@ -31,7 +31,6 @@ when numerical integration cannot reach its accuracy target.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -51,6 +50,7 @@ from .evaluation import (
 from .io import (
     mean_of_rounded,
     read_cases_csv,
+    read_json,
     read_paired_csv,
     write_json,
     write_paired_csv,
@@ -71,26 +71,6 @@ _DEFAULT_GENERATOR = {
     "expectile": "scaled_quadratic_phi",
     "huber_mean": "quadratic_phi",
 }
-
-
-def _load_config(path) -> dict:
-    if path is None:
-        return {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ValidationError(f"cannot read config {path}: {exc}") from None
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(
-            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: "
-            f"{exc.msg}"
-        ) from None
-    if not isinstance(obj, dict):
-        raise ValidationError(f"{path}: config must be a JSON object")
-    return obj
 
 
 def _get(args, cfg: dict, key: str, default=None):
@@ -188,43 +168,33 @@ def _parse_grid(value):
     raise ValidationError(f"grid must be N or lo,hi,n, got {value!r}")
 
 
-def _score_columns(totals, comps) -> dict:
+def _write_scores(out, ids, score_echo, partition, totals, comps) -> int:
+    """Write the cases CSV and the summary JSON, then print the summary."""
     columns = {"total": totals}
+    means = None
     if comps is not None:
-        for j in range(comps.shape[0]):
-            columns[f"component_{j}"] = comps[j]
-    return columns
-
-
-def _summary_dict(n, score_echo, partition, totals, comps) -> dict:
-    return {
-        "n": n,
+        columns.update((f"component_{j}", c) for j, c in enumerate(comps))
+        means = [mean_of_rounded(c) for c in comps]
+    write_scores_csv(f"{out}.cases.csv", ids, columns)
+    summary = {
+        "n": len(ids),
         "score": score_echo,
         "partition": None if partition is None else partition_config(partition),
-        "mean": {
-            "total": mean_of_rounded(totals),
-            "components": (
-                None
-                if comps is None
-                else [mean_of_rounded(comps[j]) for j in range(comps.shape[0])]
-            ),
-        },
+        "mean": {"total": mean_of_rounded(totals), "components": means},
     }
-
-
-def _print_summary(n, totals, comps) -> None:
-    mean = float(np.mean(totals))
-    print(f"{n} cases, mean score {mean:.2f}")
+    write_json(summary, f"{out}.summary.json")
+    print(f"{len(ids)} cases, mean score {float(np.mean(totals)):.2f}")
     if comps is not None:
-        parts = "  ".join(
-            f"component {j}: {float(np.mean(comps[j])):.2f}"
-            for j in range(comps.shape[0])
+        print(
+            "  ".join(
+                f"component {j}: {float(np.mean(c)):.2f}" for j, c in enumerate(comps)
+            )
         )
-        print(parts)
+    print(f"wrote {out}.cases.csv and {out}.summary.json")
+    return 0
 
 
-def _cmd_score(args) -> int:
-    cfg = _load_config(args.config)
+def _cmd_score(args, cfg) -> int:
     spec = _build_spec(
         _get(args, cfg, "functional"),
         _get_float(args, cfg, "alpha"),
@@ -235,18 +205,10 @@ def _cmd_score(args) -> int:
     cases = read_cases_csv(_require(_get(args, cfg, "input"), "input"))
     out = _require(_get(args, cfg, "out"), "out")
     totals, comps = case_scores(spec, cases, partition)
-    write_scores_csv(f"{out}.cases.csv", cases.ids, _score_columns(totals, comps))
-    write_json(
-        _summary_dict(len(cases), spec.describe(), partition, totals, comps),
-        f"{out}.summary.json",
-    )
-    _print_summary(len(cases), totals, comps)
-    print(f"wrote {out}.cases.csv and {out}.summary.json")
-    return 0
+    return _write_scores(out, cases.ids, spec.describe(), partition, totals, comps)
 
 
-def _cmd_compare(args) -> int:
-    cfg = _load_config(args.config)
+def _cmd_compare(args, cfg) -> int:
     spec = _build_spec(
         _get(args, cfg, "functional"),
         _get_float(args, cfg, "alpha"),
@@ -273,8 +235,7 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _cmd_murphy(args) -> int:
-    cfg = _load_config(args.config)
+def _cmd_murphy(args, cfg) -> int:
     functional = _require(_get(args, cfg, "functional"), "functional")
     alpha = _get_float(args, cfg, "alpha")
     nu = _get_float(args, cfg, "nu")
@@ -311,8 +272,7 @@ def _cmd_murphy(args) -> int:
     return 0
 
 
-def _cmd_crps(args) -> int:
-    cfg = _load_config(args.config)
+def _cmd_crps(args, cfg) -> int:
     partition = _load_partition(args, cfg)
     rows = read_ensemble_csv(_require(_get(args, cfg, "input"), "input"))
     out = _require(_get(args, cfg, "out"), "out")
@@ -323,18 +283,10 @@ def _cmd_crps(args) -> int:
         comps = np.stack(
             [crps_components(cdf, obs, partition) for cid, obs, cdf in rows]
         ).T
-    write_scores_csv(f"{out}.cases.csv", ids, _score_columns(totals, comps))
-    write_json(
-        _summary_dict(len(ids), {"kind": "crps"}, partition, totals, comps),
-        f"{out}.summary.json",
-    )
-    _print_summary(len(ids), totals, comps)
-    print(f"wrote {out}.cases.csv and {out}.summary.json")
-    return 0
+    return _write_scores(out, ids, {"kind": "crps"}, partition, totals, comps)
 
 
-def _cmd_synth(args) -> int:
-    cfg = _load_config(args.config)
+def _cmd_synth(args, cfg) -> int:
     config = SyntheticConfig(
         n=_get_int(args, cfg, "n", SyntheticConfig.n),
         seed=_get_int(args, cfg, "seed", SyntheticConfig.seed),
@@ -368,8 +320,7 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _cmd_hedge(args) -> int:
-    cfg = _load_config(args.config)
+def _cmd_hedge(args, cfg) -> int:
     report = simulate_hedging(
         _require(_get_int(args, cfg, "option"), "option"),
         n=_get_int(args, cfg, "n", 8000),
@@ -388,8 +339,7 @@ def _cmd_hedge(args) -> int:
     return 0
 
 
-def _cmd_validate_partition(args) -> int:
-    cfg = _load_config(args.config)
+def _cmd_validate_partition(args, cfg) -> int:
     path = _require(_get(args, cfg, "partition"), "partition")
     partition = load_partition_config(path, validate=False)
     report = partition.validate()
@@ -506,7 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        cfg = {} if args.config is None else read_json(args.config)
+        return args.handler(args, cfg)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -15,22 +15,16 @@ weights.
 A degenerate (single point) forecast distribution reduces the CRPS to
 the absolute error |x - y| exactly.
 
-Ensemble CSV format
--------------------
-``read_ensemble_csv`` expects a header ``case_id, obs, m1, ..., mk``
-and one forecast case per row; every member cell must hold a finite
-number.  Each row becomes an empirical CDF with jumps of size 1/k at
-the sorted member values.
+The ensemble CSV schema of ``read_ensemble_csv`` is in ``veriscore.io``.
 """
 
 from __future__ import annotations
-
-import csv
 
 import numpy as np
 
 from .decomposition import DecomposedScore
 from .errors import ValidationError
+from .io import _read_table
 from .partition import PartitionOfUnity
 
 __all__ = [
@@ -147,58 +141,9 @@ def crps_decomposed(
 
 
 def read_ensemble_csv(path) -> list[tuple[str, float, EmpiricalCDF]]:
-    """Read forecast cases with ensemble members (see module docstring)."""
-    rows = []
-    try:
-        fh = open(path, "r", encoding="utf-8-sig", newline="")
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from None
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        if len(header) < 3 or header[0] != "case_id" or header[1] != "obs":
-            raise ValidationError(
-                f"{path}: header must start with 'case_id, obs', got {header!r}"
-            )
-        expected = [f"m{i}" for i in range(1, len(header) - 1)]
-        if header[2:] != expected:
-            raise ValidationError(
-                f"{path}: member columns must be named {expected!r}, "
-                f"got {header[2:]!r}"
-            )
-        k = len(expected)
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != k + 2:
-                raise ValidationError(
-                    f"{path}:{lineno}: expected {k + 2} columns, got {len(row)}"
-                )
-            case_id = row[0].strip()
-            if not case_id:
-                raise ValidationError(f"{path}:{lineno}: empty case_id")
-
-            def num(cell, name, _line=lineno):
-                try:
-                    val = float(cell)
-                except ValueError:
-                    raise ValidationError(
-                        f"{path}:{_line}: {name} value {cell.strip()!r} "
-                        "is not a number"
-                    ) from None
-                if not np.isfinite(val):
-                    raise ValidationError(
-                        f"{path}:{_line}: {name} value must be finite"
-                    )
-                return val
-
-            obs = num(row[1], "obs")
-            members = [num(c, n) for c, n in zip(row[2:], expected)]
-            rows.append((case_id, obs, EmpiricalCDF.from_ensemble(members)))
-    if not rows:
-        raise ValidationError(f"{path}: no forecast cases found")
-    return rows
+    """Read forecast cases with ensemble members (schema in ``veriscore.io``)."""
+    ids, values = _read_table(path, ["case_id", "obs"], members=True)
+    return [
+        (case_id, float(row[0]), EmpiricalCDF.from_ensemble(row[1:]))
+        for case_id, row in zip(ids, values)
+    ]

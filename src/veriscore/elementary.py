@@ -22,8 +22,6 @@ against the directly evaluated score.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 
@@ -32,7 +30,7 @@ from scipy.integrate import trapezoid
 
 from .decomposition import region_generator
 from .errors import ValidationError
-from .io import fmt12
+from .io import _write_table, fmt12, write_json
 from .partition import WeightFunction
 from .scoring import FUNCTIONALS, ScoringSpec, score
 
@@ -245,11 +243,12 @@ def murphy_area(curve_or_thresholds, means=None, density=None) -> float | np.nda
 
 def write_murphy_csv(curve: MurphyCurve, path) -> None:
     """Threshold grid and per-system means, 12 significant digits."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["theta"] + [f"{name}_mean" for name in curve.names])
-        for k, theta in enumerate(curve.thresholds):
-            writer.writerow([fmt12(theta)] + [fmt12(v) for v in curve.means[:, k]])
+    _write_table(
+        path,
+        ["theta"] + [f"{name}_mean" for name in curve.names],
+        [fmt12(theta) for theta in curve.thresholds],
+        curve.means,
+    )
 
 
 def write_murphy_meta(curve: MurphyCurve, path, weight=None) -> None:
@@ -266,9 +265,7 @@ def write_murphy_meta(curve: MurphyCurve, path, weight=None) -> None:
         "systems": list(curve.names),
         "weight": weight.config() if weight is not None else None,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=False)
-        fh.write("\n")
+    write_json(meta, path)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
-"""Forecast case containers, CSV schemas, and deterministic output.
+"""Forecast case containers, file formats, and deterministic output.
 
-All numeric output is serialized with 12 significant digits via
+Every file the package reads or writes goes through this module.  All
+numeric output is serialized with 12 significant digits via
 ``fmt12``.  Summary statistics are computed from the rounded per-case
 values, not the raw ones, so that a summary recomputed from a written
 per-case file reproduces the written summary bit for bit.  Output
@@ -17,15 +18,34 @@ Paired systems (``read_paired_csv`` / ``write_paired_csv``)::
 
     case_id, forecast_a, forecast_b, obs
 
-Rows pair two forecasts with one shared observation; blank lines are
-skipped, every value must be a finite number, and errors cite the file
-and line.
+Rows pair two forecasts with one shared observation.
+
+Ensemble (``veriscore.crps.read_ensemble_csv``)::
+
+    case_id, obs, m1, ..., mk
+
+One forecast case per row; each row becomes an empirical CDF with
+jumps of size 1/k at the sorted member values.
+
+All three share one reader: the header must match exactly (a UTF-8
+byte order mark is ignored), blank lines are skipped, case ids must be
+non-empty and unique, every value must be a finite number, and errors
+cite the file and line.  ``write_scores_csv`` writes per-case results,
+``case_id`` followed by named numeric columns; the case writers and
+the Murphy curve writer share its code.
+
+JSON
+----
+``read_json`` reads a file holding one JSON object (CLI configs and
+partition configs); ``write_json`` writes any JSON value in insertion
+order with indent 2 and rejects NaN and infinities.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +64,7 @@ __all__ = [
     "read_paired_csv",
     "write_paired_csv",
     "write_scores_csv",
+    "read_json",
     "write_json",
 ]
 
@@ -129,37 +150,31 @@ class CaseSet:
         return ForecastCase(case_id, float(self.forecasts[i]), float(self.observations[i]))
 
 
-def _open_read(path):
+def _read_table(path, columns: list[str], members: bool = False):
+    """Case ids and the (n, k) matrix of the k numeric columns.
+
+    ``columns`` is the expected header; with ``members`` it continues
+    with ``m1 .. mk``, k taken from the header width (at least 1).
+    """
     try:
-        return open(path, "r", encoding="utf-8-sig", newline="")
+        fh = open(path, "r", encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from None
-
-
-def _parse_num(cell: str, path, lineno: int, name: str) -> float:
-    try:
-        val = float(cell)
-    except ValueError:
-        raise ValidationError(
-            f"{path}:{lineno}: {name} value {cell.strip()!r} is not a number"
-        ) from None
-    if not np.isfinite(val):
-        raise ValidationError(f"{path}:{lineno}: {name} value must be finite")
-    return val
-
-
-def _read_table(path, columns: list[str]) -> list[list[str]]:
-    with _open_read(path) as fh:
+    with fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise ValidationError(f"{path}: empty file") from None
+        if members:
+            k = max(len(header) - len(columns), 1)
+            columns = columns + [f"m{i}" for i in range(1, k + 1)]
         if header != columns:
             raise ValidationError(
                 f"{path}: expected header {columns!r}, got {header!r}"
             )
-        rows = []
+        names = columns[1:]
+        ids, lines, values = [], [], array("d")
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
@@ -168,70 +183,78 @@ def _read_table(path, columns: list[str]) -> list[list[str]]:
                     f"{path}:{lineno}: expected {len(columns)} columns, "
                     f"got {len(row)}"
                 )
-            rows.append([lineno] + row)
-    if not rows:
+            case_id = row[0].strip()
+            if not case_id:
+                raise ValidationError(f"{path}:{lineno}: empty case_id")
+            try:
+                values.extend(map(float, row[1:]))
+            except ValueError:
+                for name, cell in zip(names, row[1:]):
+                    try:
+                        float(cell)
+                    except ValueError:
+                        raise ValidationError(
+                            f"{path}:{lineno}: {name} value {cell.strip()!r} "
+                            "is not a number"
+                        ) from None
+            ids.append(case_id)
+            lines.append(lineno)
+    if not ids:
         raise ValidationError(f"{path}: no forecast cases found")
-    return rows
+    matrix = np.frombuffer(values).reshape(len(ids), len(names))
+    finite = np.isfinite(matrix)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise ValidationError(f"{path}:{lines[i]}: {names[j]} value must be finite")
+    if len(set(ids)) != len(ids):
+        raise ValidationError(f"{path}: duplicate case ids")
+    return ids, matrix
 
 
 def read_cases_csv(path) -> CaseSet:
     """Read one system's cases (schema in the module docstring)."""
-    rows = _read_table(path, ["case_id", "forecast", "obs"])
-    ids, xs, ys = [], [], []
-    for lineno, cid, fx, ob in rows:
-        cid = cid.strip()
-        if not cid:
-            raise ValidationError(f"{path}:{lineno}: empty case_id")
-        ids.append(cid)
-        xs.append(_parse_num(fx, path, lineno, "forecast"))
-        ys.append(_parse_num(ob, path, lineno, "obs"))
-    if len(set(ids)) != len(ids):
-        raise ValidationError(f"{path}: duplicate case ids")
-    return CaseSet(ids, xs, ys)
+    ids, v = _read_table(path, ["case_id", "forecast", "obs"])
+    return CaseSet(ids, v[:, 0], v[:, 1])
 
 
 def read_paired_csv(path) -> tuple[CaseSet, CaseSet]:
     """Read paired cases of two systems sharing observations."""
-    rows = _read_table(path, ["case_id", "forecast_a", "forecast_b", "obs"])
-    ids, xa, xb, ys = [], [], [], []
-    for lineno, cid, fa, fb, ob in rows:
-        cid = cid.strip()
-        if not cid:
-            raise ValidationError(f"{path}:{lineno}: empty case_id")
-        ids.append(cid)
-        xa.append(_parse_num(fa, path, lineno, "forecast_a"))
-        xb.append(_parse_num(fb, path, lineno, "forecast_b"))
-        ys.append(_parse_num(ob, path, lineno, "obs"))
-    if len(set(ids)) != len(ids):
-        raise ValidationError(f"{path}: duplicate case ids")
-    return CaseSet(ids, xa, ys), CaseSet(ids, xb, ys)
+    ids, v = _read_table(path, ["case_id", "forecast_a", "forecast_b", "obs"])
+    return CaseSet(ids, v[:, 0], v[:, 2]), CaseSet(ids, v[:, 1], v[:, 2])
 
 
-def write_cases_csv(cases: CaseSet, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["case_id", "forecast", "obs"])
-        for c in cases:
-            writer.writerow([c.case_id, fmt12(c.forecast), fmt12(c.observation)])
+def read_json(path) -> dict:
+    """Read a file holding one JSON object (a config or a partition)."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from None
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(
+            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
+            f"{exc.msg}"
+        ) from None
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{path}: expected a JSON object")
+    return obj
 
 
-def write_paired_csv(cases_a: CaseSet, cases_b: CaseSet, path) -> None:
-    if cases_a.ids != cases_b.ids:
-        raise ValidationError("paired case sets must share ids in order")
-    if not np.array_equal(cases_a.observations, cases_b.observations):
-        raise ValidationError("paired case sets must share observations")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["case_id", "forecast_a", "forecast_b", "obs"])
-        for i, cid in enumerate(cases_a.ids):
-            writer.writerow(
-                [
-                    cid,
-                    fmt12(cases_a.forecasts[i]),
-                    fmt12(cases_b.forecasts[i]),
-                    fmt12(cases_a.observations[i]),
-                ]
+def _write_table(path, header: list[str], keys, columns) -> None:
+    """One row per key: the key, then each column's value (``fmt12``)."""
+    arrays = [np.asarray(a, dtype=float) for a in columns]
+    for n, a in zip(header[1:], arrays):
+        if a.shape != (len(keys),):
+            raise ValidationError(
+                f"column {n!r} has shape {a.shape}, expected ({len(keys)},)"
             )
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for i, key in enumerate(keys):
+            writer.writerow([key] + [fmt12(a[i]) for a in arrays])
 
 
 def write_scores_csv(path, ids, columns: dict) -> None:
@@ -240,18 +263,29 @@ def write_scores_csv(path, ids, columns: dict) -> None:
     ``columns`` maps column name to an array aligned with ids; ordering
     of the mapping is preserved in the file.
     """
-    names = list(columns)
-    arrays = [np.asarray(columns[n], dtype=float) for n in names]
-    for n, a in zip(names, arrays):
-        if a.shape != (len(ids),):
-            raise ValidationError(
-                f"column {n!r} has shape {a.shape}, expected ({len(ids)},)"
-            )
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["case_id"] + names)
-        for i, cid in enumerate(ids):
-            writer.writerow([cid] + [fmt12(a[i]) for a in arrays])
+    _write_table(path, ["case_id", *columns], ids, columns.values())
+
+
+def write_cases_csv(cases: CaseSet, path) -> None:
+    write_scores_csv(
+        path, cases.ids, {"forecast": cases.forecasts, "obs": cases.observations}
+    )
+
+
+def write_paired_csv(cases_a: CaseSet, cases_b: CaseSet, path) -> None:
+    if cases_a.ids != cases_b.ids:
+        raise ValidationError("paired case sets must share ids in order")
+    if not np.array_equal(cases_a.observations, cases_b.observations):
+        raise ValidationError("paired case sets must share observations")
+    write_scores_csv(
+        path,
+        cases_a.ids,
+        {
+            "forecast_a": cases_a.forecasts,
+            "forecast_b": cases_b.forecasts,
+            "obs": cases_a.observations,
+        },
+    )
 
 
 def write_json(obj, path) -> None:

@@ -55,7 +55,6 @@ Numbers may be written as JSON numbers or as the strings ``"inf"`` and
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -63,6 +62,7 @@ import numpy as np
 from scipy import integrate
 
 from .errors import NumericError, ValidationError
+from .io import read_json
 
 __all__ = [
     "IntervalDomain",
@@ -942,18 +942,7 @@ def parse_partition_config(obj, source: str = "<config>", **kwargs) -> Partition
 
 def load_partition_config(path, **kwargs) -> PartitionOfUnity:
     """Read and validate a partition configuration file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ValidationError(f"cannot read partition config {path}: {exc}") from None
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(
-            f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from None
-    return parse_partition_config(obj, source=str(path), **kwargs)
+    return parse_partition_config(read_json(path), source=str(path), **kwargs)
 
 
 def partition_config(partition: PartitionOfUnity) -> dict:

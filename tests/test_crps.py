@@ -154,5 +154,11 @@ def test_read_ensemble_csv_errors(tmp_path):
     p.write_text("case_id,obs,m1\n")
     with pytest.raises(ValidationError, match="no forecast cases"):
         read_ensemble_csv(p)
+    p.write_text("case_id,obs\n" "a,1.0\n")
+    with pytest.raises(ValidationError, match="header"):
+        read_ensemble_csv(p)
+    p.write_text("case_id,obs,m1,m2\n" "a,1.0,0.0,2.0\n" "a,2.0,1.0,3.0\n")
+    with pytest.raises(ValidationError, match="duplicate"):
+        read_ensemble_csv(p)
     with pytest.raises(ValidationError, match="cannot read"):
         read_ensemble_csv(tmp_path / "missing.csv")

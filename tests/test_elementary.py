@@ -146,6 +146,7 @@ def test_murphy_writers(tmp_path):
     assert lines[0] == "theta,A_mean"
     assert len(lines) == 5
     assert lines[1].startswith("0,")
+    assert csv_path.read_bytes() == b"theta,A_mean\r\n0,0\r\n1,0\r\n2,0.25\r\n3,0\r\n"
     meta_path = tmp_path / "curve.json"
     write_murphy_meta(curve, meta_path, weight=RectangularWeight(0.0, 2.0))
     meta = json.loads(meta_path.read_text())
@@ -155,6 +156,13 @@ def test_murphy_writers(tmp_path):
     assert meta["grid"] == {"lo": 0.0, "hi": 3.0, "n": 4}
     assert meta["systems"] == ["A"]
     assert meta["weight"]["kind"] == "rectangular"
+    assert meta_path.read_text() == (
+        '{\n  "functional": "quantile",\n  "alpha": 0.5,\n  "nu": null,\n'
+        '  "grid": {\n    "lo": 0.0,\n    "hi": 3.0,\n    "n": 4\n  },\n'
+        '  "systems": [\n    "A"\n  ],\n'
+        '  "weight": {\n    "kind": "rectangular",\n    "a": 0.0,\n    "b": 2.0\n'
+        "  }\n}\n"
+    )
     write_murphy_meta(curve, meta_path)
     assert json.loads(meta_path.read_text())["weight"] is None
 

@@ -1,11 +1,14 @@
 """Serialization round trips and the command line interface."""
 
+import ast
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import veriscore
 from veriscore import (
     CaseSet,
     ForecastCase,
@@ -13,6 +16,7 @@ from veriscore import (
     fmt12,
     mean_of_rounded,
     read_cases_csv,
+    read_ensemble_csv,
     read_paired_csv,
     round12,
     write_cases_csv,
@@ -82,6 +86,10 @@ def test_paired_csv_round_trip_and_checks(tmp_path):
     cb = CaseSet(ids, [0.5, 1.5, 2.5], y)
     p1, p2 = tmp_path / "one.csv", tmp_path / "two.csv"
     write_paired_csv(ca, cb, p1)
+    assert p1.read_bytes() == (
+        b"case_id,forecast_a,forecast_b,obs\r\n"
+        b"a,1.5,0.5,1\r\nb,2.5,1.5,2\r\nc,3.5,2.5,3\r\n"
+    )
     ra, rb = read_paired_csv(p1)
     write_paired_csv(ra, rb, p2)
     assert p1.read_bytes() == p2.read_bytes()
@@ -93,18 +101,29 @@ def test_paired_csv_round_trip_and_checks(tmp_path):
 
 def test_read_cases_csv_errors(tmp_path):
     p = tmp_path / "cases.csv"
-    p.write_text("case_id,forecast,observation\na,1,2\n")
-    with pytest.raises(ValidationError, match="header"):
-        read_cases_csv(p)
-    p.write_text("case_id,forecast,obs\na,1,2\na,3,4\n")
-    with pytest.raises(ValidationError, match="duplicate"):
-        read_cases_csv(p)
-    p.write_text("case_id,forecast,obs\na,one,2\n")
-    with pytest.raises(ValidationError, match=":2"):
-        read_cases_csv(p)
-    p.write_text("case_id,forecast,obs\n")
-    with pytest.raises(ValidationError, match="no forecast cases"):
-        read_cases_csv(p)
+    # the three CSV schemas share one reader and its messages
+    for read, header, rest in (
+        (read_cases_csv, "case_id,forecast,obs", "2"),
+        (read_paired_csv, "case_id,forecast_a,forecast_b,obs", "1,2"),
+        (read_ensemble_csv, "case_id,obs,m1", "2"),
+    ):
+        name, width = header.split(",")[1], header.count(",") + 1
+        for text, message in (
+            ("case_id,forecast,observation\na,1,2\n", "header"),
+            (f"{header}\na,1,{rest}\na,3,{rest}\n", "duplicate case ids"),
+            (f"{header}\na,one,{rest}\n", f":2: {name} value 'one' is not a"),
+            (f"{header}\na,1,{rest}\n\nb,inf,{rest}\n", f":4: {name} value must be"),
+            (f"{header}\n ,1,{rest}\n", ":2: empty case_id"),
+            (f"{header}\na,1\n", f":2: expected {width} columns, got 2"),
+            (f"{header}\n", "no forecast cases"),
+            ("", "empty file"),
+        ):
+            p.write_text(text)
+            with pytest.raises(ValidationError, match=message):
+                read(p)
+        # a UTF-8 byte order mark before the header is not part of it
+        p.write_text(f"\ufeff{header}\na,1,{rest}\n", encoding="utf-8")
+        read(p)
 
 
 def test_write_scores_csv_validates_shapes(tmp_path):
@@ -363,6 +382,32 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{not json")
     assert main(["score", "--config", str(cfg)]) == 2
+    # a config that is valid JSON but not an object
+    cfg.write_text("[1, 2]")
+    assert main(["score", "--config", str(cfg)]) == 2
     # argparse handles unknown subcommands with its own exit
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+def test_only_io_opens_files_or_imports_csv_and_json():
+    # file formats are decided in veriscore.io alone
+    hits = []
+    modules = sorted(Path(veriscore.__file__).parent.glob("*.py"))
+    assert len(modules) > 1
+    for path in modules:
+        if path.name == "io.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name == "open":
+                    hits.append(f"{path.name}:{node.lineno}: open(")
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [a.name for a in node.names]
+                if isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                for name in names:
+                    if name.split(".")[0] in ("csv", "json"):
+                        hits.append(f"{path.name}:{node.lineno}: import {name}")
+    assert hits == []
