@@ -17,23 +17,31 @@ consistent scoring function for the same functional, is nonnegative,
 and vanishes identically on any interval its weight does not touch.
 Strictly positive weights (the arctan pair) keep strict consistency.
 
-Closed forms
-------------
-When the weighted derivative rho_j is piecewise linear,
-its antiderivatives are exact piecewise polynomials; with the arctan
-weights they are elementary functions.  Both cases are available
-whenever the weight carries exact antiderivatives and the generator's
-relevant derivative is a constant (all built-in generators).  Scores
-are then evaluated through difference forms that never reference the
-anchor, so components cancel *exactly*, not merely to rounding, for
-forecast and observation on the same side outside the weight's support.
+Moments
+-------
+Every component is a mixture of elementary scores, so it is the
+integral of rho_j(t) times a kernel of degree 0 or 1 in (t - y) over
+[min(x, y), max(x, y)].  With d = x - y and k = cap(d, nu), and all
+integrals signed and taken from y:
 
-Everything else falls back to adaptive quadrature of the mixture
-integral over [min(x, y), max(x, y)] of rho_j(t) times an elementary
-kernel: 1 for quantiles, |y - t| for expectiles and
-min(|t - y|, nu) / 2 for Huber means, split at the weight's knots and
-at y - nu, y + nu.  The target absolute tolerance is ``quad_tol``
-(default 1e-10); a result whose error estimate exceeds
+    quantile    (ind - alpha) * integral over [y, x] of rho_j,
+    expectile   |ind - alpha| * |integral over [y, x] of (t - y) rho_j|,
+    Huber mean  (|integral over [y, y + k] of (t - y) rho_j|
+                 + nu * |integral over [y + k, x] of rho_j|) / 2,
+
+and the anchored generators are such integrals over [u_j, u] centred
+at u.  ``RegionGenerator`` therefore needs one moment provider: the
+signed integral of rho_j(t) * (t - y)**k, k = 0 or 1, between offsets
+from y.  When the weight has exact moments and the generator's
+relevant derivative is a constant c (``deriv_const``, all built-in
+generators), the provider is c times ``WeightFunction.moments``, taken
+in coordinates local to y: exact to rounding at any magnitude, and
+exactly zero for forecast and observation on the same side outside the
+weight's support.
+
+Otherwise the provider is adaptive quadrature of rho_j(y + u) * u**k
+over u, split at the weight's knots.  The target absolute tolerance is
+``quad_tol`` (default 1e-10); a result whose error estimate exceeds
 1e-7 * max(1, |value|) raises :class:`NumericError`.
 """
 
@@ -60,10 +68,6 @@ __all__ = [
 ]
 
 QUAD_TOL_DEFAULT = 1e-10
-
-
-def _one(t):
-    return 1.0
 
 
 def _each(f, *arrays):
@@ -141,6 +145,7 @@ class RegionGenerator:
         self._closed = (
             weight.has_exact_integrals and spec.generator.deriv_const is not None
         )
+        self._moment = self._exact_moment if self._closed else self._quad_moment
 
     @property
     def has_closed_form(self) -> bool:
@@ -148,7 +153,7 @@ class RegionGenerator:
 
     @property
     def closed_form(self) -> ClosedFormInfo | None:
-        if not self._closed:
+        if not self.has_closed_form:
             return None
         return ClosedFormInfo(
             weight_kind=self.weight.kind,
@@ -157,26 +162,36 @@ class RegionGenerator:
             anchor=self.anchor,
         )
 
-    # -- weighted derivative of the base generator ------------------------
+    # -- moments of the weighted derivative of the base generator ----------
+    #
+    # _moment(k, p, q, y) is the signed integral of rho_j(t) * (t - y)**k
+    # over t from y + p to y + q, for k = 0 or 1.
+
+    def _exact_moment(self, k, p, q, y):
+        c = self.spec.generator.deriv_const
+        return c * self.weight._local_moments(p, q, y)[k]
+
+    def _quad_moment(self, k, p, q, y):
+        return _each(lambda *args: self._quad(k, *args), p, q, y)
 
     def _density(self, t):
         gen = self.spec.generator
         d = gen.derivative(t) if gen.family == "g" else gen.second_derivative(t)
         return np.asarray(d, dtype=float) * self.weight(t)
 
-    def _quad(self, lo: float, hi: float, kernel=_one, kinks=()) -> float:
-        # signed integral of density(t) * kernel(t) from lo to hi, split
-        # at the weight's knots and at the kernel's kinks
-        if lo == hi:
+    def _quad(self, k: int, p: float, q: float, y: float) -> float:
+        # signed integral of density(y + u) * u**k for u from p to q, split
+        # at the weight's knots
+        if p == q:
             return 0.0
         sign = 1.0
-        if hi < lo:
-            lo, hi, sign = hi, lo, -1.0
-        pts = [k for k in (*self.weight.finite_knots(), *kinks) if lo < k < hi]
+        if q < p:
+            p, q, sign = q, p, -1.0
+        pts = [t - y for t in self.weight.finite_knots() if p < t - y < q]
         val, err = integrate.quad(
-            lambda t: float(self._density(np.asarray([t]))[0]) * kernel(t),
-            lo,
-            hi,
+            lambda u: float(self._density(np.asarray([y + u]))[0]) * u**k,
+            p,
+            q,
             points=pts or None,
             epsabs=self.quad_tol,
             epsrel=1e-10,
@@ -184,32 +199,21 @@ class RegionGenerator:
         )
         if err > 1e-7 * max(1.0, abs(val)):
             raise NumericError(
-                f"component quadrature on [{lo}, {hi}] achieved error "
+                f"component quadrature on [{y + p}, {y + q}] achieved error "
                 f"{err:.2e} only"
             )
         return sign * val
-
-    def _antideriv(self, u: float) -> float:
-        # integral from the anchor to u of density(t): g_j(u) or phi_j'(u)
-        return self._quad(self.anchor, u)
-
-    def _antideriv2(self, u: float) -> float:
-        # phi_j(u): integral from the anchor to u of (u - t) * density(t)
-        return self._quad(self.anchor, u, lambda t: u - t)
 
     # -- anchored pointwise evaluation -------------------------------------
 
     def value(self, u):
         """g_j(u) for g-family bases, phi_j(u) for phi-family bases."""
         u = np.asarray(u, dtype=float)
-        w, a, c = self.weight, self.anchor, self.spec.generator.deriv_const
-        g_family = self.spec.generator.family == "g"
-        if not self._closed:
-            out = _each(self._antideriv if g_family else self._antideriv2, u)
-        elif g_family:
-            out = c * (w.antideriv(u) - w.antideriv(a))
+        if self.spec.generator.family == "g":
+            out = self._moment(0, self.anchor - u, 0.0, u)
         else:
-            out = c * (w.antideriv2(u) - w.antideriv2(a) - w.antideriv(a) * (u - a))
+            # phi_j(u): integral from the anchor to u of (u - t) * rho_j(t)
+            out = -self._moment(1, self.anchor - u, 0.0, u)
         return _scalar_or_array(out)
 
     def derivative(self, u):
@@ -217,72 +221,31 @@ class RegionGenerator:
         if self.spec.generator.family != "phi":
             raise ValidationError("derivative() applies to phi-family bases only")
         u = np.asarray(u, dtype=float)
-        if not self._closed:
-            return _scalar_or_array(_each(self._antideriv, u))
-        c, w = self.spec.generator.deriv_const, self.weight
-        return _scalar_or_array(c * (w.antideriv(u) - w.antideriv(self.anchor)))
+        return _scalar_or_array(self._moment(0, self.anchor - u, 0.0, u))
 
     # -- anchor-free score forms -------------------------------------------
 
-    def _between(self, x, y, kernel, kinks=lambda fy: ()):
-        # integral of density(t) * kernel(t, y) over [min(x, y), max(x, y)]
-        return _each(
-            lambda fx, fy: self._quad(
-                min(fx, fy), max(fx, fy), lambda t: kernel(t, fy), kinks(fy)
-            ),
-            x,
-            y,
-        )
-
-    def _gdiff(self, x, y):
-        # g_j(x) - g_j(y)
-        if self._closed:
-            c = self.spec.generator.deriv_const
-            w = self.weight
-            return c * (w.antideriv(x) - w.antideriv(y))
-        return _each(self._quad, y, x)
-
-    def _bregman(self, x, y):
-        # phi_j(y) - phi_j(x) - phi_j'(x) * (y - x), computed without the
-        # anchor so that it cancels exactly off-support
-        if self._closed:
-            c = self.spec.generator.deriv_const
-            w = self.weight
-            return c * (w.double_integral(x, y) - w.antideriv(x) * (y - x))
-        return self._between(x, y, lambda t, fy: abs(fy - t))
-
-    def _huber_form(self, x, y, nu):
-        # 0.5 * (phi_j(y) - phi_j(z) + k * phi_j'(x)) with z = y + k,
-        # k = cap(x - y, nu).  The recomputed difference d = z - y is used
-        # in place of k (they differ by at most one ulp of y), which makes
-        # the form anchor-free and exactly zero off-support.
-        if self._closed:
-            k = np.clip(x - y, -nu, nu)
-            z = y + k
-            d = z - y
-            c = self.spec.generator.deriv_const
-            w = self.weight
-            return 0.5 * c * (d * w.antideriv(x) - w.double_integral(y, z))
-        return self._between(
-            x,
-            y,
-            lambda t, fy: 0.5 * min(abs(t - fy), nu),
-            lambda fy: (fy - nu, fy + nu),
-        )
-
     def score(self, x, y):
-        """This region's score component, vectorized like score()."""
+        """This region's score component, vectorized like score().
+
+        The forms are the moments of the module docstring.
+        """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         x, y = np.broadcast_arrays(x, y)
         spec = self.spec
+        d = x - y
         ind = (y < x).astype(float)
         if spec.functional == "quantile":
-            out = (ind - spec.alpha) * self._gdiff(x, y)
+            out = (ind - spec.alpha) * self._moment(0, 0.0, d, y)
         elif spec.functional == "expectile":
-            out = np.abs(ind - spec.alpha) * self._bregman(x, y)
+            out = np.abs(ind - spec.alpha) * np.abs(self._moment(1, 0.0, d, y))
         else:
-            out = self._huber_form(x, y, spec.nu)
+            k = np.clip(d, -spec.nu, spec.nu)
+            out = 0.5 * (
+                np.abs(self._moment(1, 0.0, k, y))
+                + spec.nu * np.abs(self._moment(0, k, d, y))
+            )
         return _scalar_or_array(out)
 
 

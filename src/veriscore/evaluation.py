@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm, truncnorm
 
 from .decomposition import decompose, region_generator, score_components
 from .errors import ValidationError
@@ -365,6 +364,7 @@ def truncated_normal_mean(mean: float, sd: float, lower: float) -> float:
         return float(mean)
     if not np.isfinite(lower):
         raise ValidationError("lower bound must be finite or -inf")
+    from scipy.stats import truncnorm
     a = (lower - mean) / sd
     return float(truncnorm.mean(a, np.inf, loc=mean, scale=sd))
 
@@ -381,6 +381,7 @@ def lognormal_tail_mean(mu: float, sigma: float, lower: float) -> float:
     full = lognormal_mean(mu, sigma)
     if lower <= 0:
         return full
+    from scipy.stats import norm
     z = (math.log(lower) - mu) / sigma
     tail = norm.sf(z)
     if tail <= 0.0:
@@ -543,6 +544,7 @@ def simulate_hedging(
     x_rival = np.exp(mu + delta + half_var)
     t = threshold
 
+    from scipy.stats import norm
     z = (math.log(t) - mu) / log_sd
     tail = norm.sf(z)
     safe_tail = np.where(tail > 0, tail, 1.0)

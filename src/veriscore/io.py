@@ -160,45 +160,50 @@ def _read_table(path, columns: list[str], members: bool = False):
         fh = open(path, "r", encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from None
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise ValidationError(f"{path}: empty file") from None
-        if members:
-            k = max(len(header) - len(columns), 1)
-            columns = columns + [f"m{i}" for i in range(1, k + 1)]
-        if header != columns:
-            raise ValidationError(
-                f"{path}: expected header {columns!r}, got {header!r}"
-            )
-        names = columns[1:]
-        ids, lines, values = [], [], array("d")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(columns):
-                raise ValidationError(
-                    f"{path}:{lineno}: expected {len(columns)} columns, "
-                    f"got {len(row)}"
-                )
-            case_id = row[0].strip()
-            if not case_id:
-                raise ValidationError(f"{path}:{lineno}: empty case_id")
+    try:
+        with fh:
+            reader = csv.reader(fh)
             try:
-                values.extend(map(float, row[1:]))
-            except ValueError:
-                for name, cell in zip(names, row[1:]):
-                    try:
-                        float(cell)
-                    except ValueError:
-                        raise ValidationError(
-                            f"{path}:{lineno}: {name} value {cell.strip()!r} "
-                            "is not a number"
-                        ) from None
-            ids.append(case_id)
-            lines.append(lineno)
+                header = [h.strip() for h in next(reader)]
+            except StopIteration:
+                raise ValidationError(f"{path}: empty file") from None
+            if members:
+                k = max(len(header) - len(columns), 1)
+                columns = columns + [f"m{i}" for i in range(1, k + 1)]
+            if header != columns:
+                raise ValidationError(
+                    f"{path}: expected header {columns!r}, got {header!r}"
+                )
+            names = columns[1:]
+            ids, lines, values = [], [], array("d")
+            for lineno, row in enumerate(reader, start=2):
+                if not row or all(not c.strip() for c in row):
+                    continue
+                if len(row) != len(columns):
+                    raise ValidationError(
+                        f"{path}:{lineno}: expected {len(columns)} columns, "
+                        f"got {len(row)}"
+                    )
+                case_id = row[0].strip()
+                if not case_id:
+                    raise ValidationError(f"{path}:{lineno}: empty case_id")
+                try:
+                    values.extend(map(float, row[1:]))
+                except ValueError:
+                    for name, cell in zip(names, row[1:]):
+                        try:
+                            float(cell)
+                        except ValueError:
+                            raise ValidationError(
+                                f"{path}:{lineno}: {name} value {cell.strip()!r} "
+                                "is not a number"
+                            ) from None
+                ids.append(case_id)
+                lines.append(lineno)
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text: {exc.reason}") from None
+    except csv.Error as exc:
+        raise ValidationError(f"{path}:{reader.line_num}: {exc}") from None
     if not ids:
         raise ValidationError(f"{path}: no forecast cases found")
     matrix = np.frombuffer(values).reshape(len(ids), len(names))
@@ -230,6 +235,8 @@ def read_json(path) -> dict:
             text = fh.read()
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text: {exc.reason}") from None
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -22,9 +22,12 @@ The rectangular, trapezoidal and tabulated kinds are one class,
 between neighbours and a constant beyond each end.
 ``RectangularWeight``, ``TrapezoidalWeight`` and ``TabulatedWeight``
 are named constructors that validate their parameters and build that
-table, which carries exact first and second antiderivatives as
-per-segment polynomials.  The arctan pair has closed-form
-antiderivatives as well.  Normalized weights fall back to adaptive
+table.  Every score component needs only two integrals of a weight,
+which ``WeightFunction.moments(lo, hi, y)`` returns exactly: the
+integral of chi and of (t - y) * chi over [lo, hi].  The table
+integrates each linear segment in coordinates local to y, so the
+moments are exact to rounding at any magnitude.  The arctan pair has
+exact moments as well; normalized weights fall back to adaptive
 quadrature.
 
 Configuration files
@@ -174,15 +177,17 @@ class WeightFunction:
     their parameters and build it; ``_fields`` names the parameters that
     ``config()`` echoes.  A subclass that builds no table keeps
     ``bounds = None`` and implements ``__call__`` (and ``support`` where
-    it is narrower than the real line).  It has no exact integrals, so
+    it is narrower than the real line).  It has no exact moments, so
     scores built on it go through quadrature, and no ``config()`` form,
-    unless it supplies its own, as the arctan pair does.
+    unless it supplies its own ``_local_moments`` and ``config``, as the
+    arctan pair does.
 
-    The antiderivative tables are referenced at a breakpoint adjacent to
-    a zero extension, so that on a side where the weight vanishes both
-    antiderivatives evaluate to exactly 0.0.  Score components built on
-    these tables then vanish exactly, not merely to rounding, outside
-    the support of their weight.
+    ``moments(lo, hi, y)`` integrates the weight and (t - y) times the
+    weight over [lo, hi] segment by segment, in coordinates local to y,
+    so no term of order y**2 is formed and the result is exact to
+    rounding at any magnitude.  A segment where the weight is zero adds
+    exactly 0.0, so score components built on these moments vanish
+    exactly, not merely to rounding, outside the support of their weight.
     """
 
     kind = "abstract"
@@ -197,28 +202,13 @@ class WeightFunction:
         self.left_val = float(left_val)
         self.right_val = float(right_val)
         self.has_exact_integrals = True
-        m = self.bounds.size
-        # evaluation gathers segment by segment, with the extensions as
-        # flat segments 0 and m
+        # evaluation and moments go segment by segment, with the
+        # extensions as flat segments 0 and bounds.size
         self._base = np.concatenate([self.bounds[:1], self.bounds])
         self._value0 = np.concatenate([[self.left_val], self.start, [self.right_val]])
         self._slope0 = np.concatenate([[0.0], self.slope, [0.0]])
         self._ramps = bool(np.any(self.slope))
-        if m == 0:
-            self.w1 = np.zeros(0)
-            self.w2 = np.zeros(0)
-            return
-        w1 = np.zeros(m)
-        w2 = np.zeros(m)
-        for k in range(m - 1):
-            dt = self.bounds[k + 1] - self.bounds[k]
-            v0, s = self.start[k], self.slope[k]
-            w1[k + 1] = w1[k] + v0 * dt + 0.5 * s * dt * dt
-            w2[k + 1] = w2[k] + w1[k] * dt + 0.5 * v0 * dt * dt + s * dt**3 / 6.0
-        ref = 0 if self.left_val == 0.0 else (m - 1 if self.right_val == 0.0 else 0)
-        w1_ref, w2_ref, t_ref = w1[ref], w2[ref], self.bounds[ref]
-        self.w2 = w2 - w2_ref - w1_ref * (self.bounds - t_ref)
-        self.w1 = w1 - w1_ref
+        self._edges = np.concatenate([[-_INF], self.bounds, [_INF]])
 
     def _params(self):
         # constructor arguments, arrays as lists
@@ -251,14 +241,11 @@ class WeightFunction:
         """Finite breakpoints, used for probe grids and quadrature."""
         return () if self.bounds is None else tuple(self.bounds.tolist())
 
-    def _locate(self, t):
-        if self.bounds is None:
-            raise NotImplementedError(f"{self.kind} weight has no exact antiderivative")
-        t = np.asarray(t, dtype=float)
-        return t, np.searchsorted(self.bounds, t, side="right")
-
     def __call__(self, t):
-        t, idx = self._locate(t)
+        if self.bounds is None:
+            raise NotImplementedError(f"{self.kind} weight has no table")
+        t = np.asarray(t, dtype=float)
+        idx = np.searchsorted(self.bounds, t, side="right")
         out = self._value0[idx]
         if self._ramps:
             # clipping keeps the offsets on the extensions finite
@@ -267,84 +254,45 @@ class WeightFunction:
             out = out + self._slope0[idx] * s
         return out
 
-    def antideriv(self, t):
-        """First antiderivative of the weight, fixed internal reference."""
-        t, idx = self._locate(t)
-        if self.bounds.size == 0:
-            return self.left_val * t
-        out = np.empty_like(t)
-        left = idx == 0
-        right = idx == self.bounds.size
-        mid = ~(left | right)
-        out[left] = self.w1[0] + self.left_val * (t[left] - self.bounds[0])
-        out[right] = self.w1[-1] + self.right_val * (t[right] - self.bounds[-1])
-        if np.any(mid):
-            k = idx[mid] - 1
-            s = t[mid] - self.bounds[k]
-            out[mid] = self.w1[k] + self.start[k] * s + 0.5 * self.slope[k] * s * s
-        return out
+    def moments(self, lo, hi, y):
+        """Signed ``(integral of chi, integral of (t - y) * chi)`` from lo to hi.
 
-    def antideriv2(self, t):
-        """Second antiderivative consistent with ``antideriv``."""
-        t, idx = self._locate(t)
-        if self.bounds.size == 0:
-            return 0.5 * self.left_val * t * t
-        out = np.empty_like(t)
-        left = idx == 0
-        right = idx == self.bounds.size
-        mid = ~(left | right)
-        sL = t[left] - self.bounds[0]
-        out[left] = self.w2[0] + self.w1[0] * sL + 0.5 * self.left_val * sL * sL
-        sR = t[right] - self.bounds[-1]
-        out[right] = self.w2[-1] + self.w1[-1] * sR + 0.5 * self.right_val * sR * sR
-        if np.any(mid):
-            k = idx[mid] - 1
-            s = t[mid] - self.bounds[k]
-            out[mid] = (
-                self.w2[k]
-                + self.w1[k] * s
-                + 0.5 * self.start[k] * s * s
-                + self.slope[k] * s**3 / 6.0
-            )
-        return out
-
-    def double_integral(self, lo, hi):
-        """Signed integral of ``antideriv`` between lo and hi.
-
-        When both endpoints sit on the same constant extension the value
-        is computed in factored form, so that score components cancel
-        exactly there (see class docstring).
+        Vectorized over broadcast lo, hi and y.  The integrals are taken
+        in coordinates local to y (see ``_local_moments``), so they stay
+        exact to rounding at any magnitude of y.
         """
+        y = np.asarray(y, dtype=float)
+        return self._local_moments(
+            np.asarray(lo, dtype=float) - y, np.asarray(hi, dtype=float) - y, y
+        )
+
+    def _local_moments(self, p, q, y):
+        # moments over t in [y + p, y + q], t - y = u: every segment,
+        # extensions included, is clipped to [p, q] in u and integrated
+        # about its clipped midpoint cm, where chi = vm + slope * (u - cm)
         if self.bounds is None:
-            raise NotImplementedError(f"{self.kind} weight has no exact antiderivative")
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
-        shape = np.broadcast(lo, hi).shape
-        if self.bounds.size == 0:
-            return (0.5 * self.left_val * (hi * hi - lo * lo)).reshape(shape)
-        lo = np.atleast_1d(np.broadcast_to(lo, shape))
-        hi = np.atleast_1d(np.broadcast_to(hi, shape))
-        out = np.asarray(self.antideriv2(hi) - self.antideriv2(lo))
-        both_right = (lo >= self.bounds[-1]) & (hi >= self.bounds[-1])
-        if np.any(both_right):
-            l, h = lo[both_right], hi[both_right]
-            b = self.bounds[-1]
-            out[both_right] = self.w1[-1] * (h - l) + 0.5 * self.right_val * (
-                (h - b) ** 2 - (l - b) ** 2
-            )
-        both_left = (lo <= self.bounds[0]) & (hi <= self.bounds[0])
-        if np.any(both_left):
-            l, h = lo[both_left], hi[both_left]
-            b = self.bounds[0]
-            out[both_left] = self.w1[0] * (h - l) + 0.5 * self.left_val * (
-                (h - b) ** 2 - (l - b) ** 2
-            )
-        return out.reshape(shape)
+            raise NotImplementedError(f"{self.kind} weight has no exact moments")
+        p, q, y = np.broadcast_arrays(p, q, y)
+        m0 = np.zeros(p.shape)
+        m1 = np.zeros(p.shape)
+        segments = zip(self._value0, self._slope0, self._edges[:-1], self._edges[1:])
+        for v0, s, lo, hi in segments:
+            if v0 == 0.0 and s == 0.0:
+                continue  # a zero segment adds exactly 0.0
+            lo, hi = lo - y, hi - y
+            a = np.minimum(np.maximum(p, lo), hi)
+            b = np.minimum(np.maximum(q, lo), hi)
+            h = b - a
+            cm = 0.5 * (a + b)
+            vm = v0 + s * (cm - lo) if s else v0
+            m0 += h * vm
+            m1 += h * (vm * cm + s * h * h / 12.0) if s else h * vm * cm
+        return m0, m1
 
     def integral(self, lo, hi):
         """Signed integral of the weight itself between lo and hi."""
         if self.has_exact_integrals:
-            return self.antideriv(hi) - self.antideriv(lo)
+            return self.moments(lo, hi, lo)[0]
         return _quad_weight(self, lo, hi)
 
 
@@ -472,21 +420,47 @@ class TabulatedWeight(WeightFunction):
         super().__init__(bp, v[:-1], np.diff(v) / np.diff(bp), v[0], v[-1])
 
 
-def _arctan_antideriv(s):
-    # antiderivative of arctan(s)/pi + 1/2 in the shifted variable s
+def _arctan_primitive(s):
+    # a primitive of 1/2 + arctan(s)/pi in the shifted variable s
     return 0.5 * s + (s * np.arctan(s) - 0.5 * np.log1p(s * s)) / np.pi
 
 
-def _arctan_antideriv2(s):
-    # antiderivative of _arctan_antideriv
+def _arctan_primitive2(s):
+    # a primitive of _arctan_primitive
     p2 = 0.5 * (s * s - 1.0) * np.arctan(s) + 0.5 * s - 0.5 * s * np.log1p(s * s)
     return 0.25 * s * s + p2 / np.pi
 
 
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+
+
+def _arctan_upper_moments(p, q, sigma):
+    # moments of 1/2 + arctan(s)/pi, s = sigma + u, over u in [p, q]: an
+    # 8-point Gauss-Legendre rule when the span is small against its
+    # distance from s = 0 (the weight is then nearly linear on it, and the
+    # primitives would cancel), the difference of primitives otherwise
+    sa, sb = sigma + p, sigma + q
+    dist = np.where(sa * sb > 0.0, np.minimum(np.abs(sa), np.abs(sb)), 0.0)
+    near = np.abs(q - p) <= 1e-3 * np.maximum(1.0, dist)
+    half = 0.5 * (q - p)
+    u = (p + half)[..., None] + half[..., None] * _GL_NODES
+    # arctan2(1, -s) / pi is the upper weight without cancellation in its tail
+    f = _GL_WEIGHTS * np.arctan2(1.0, -(sigma[..., None] + u)) / np.pi
+    a1, b1 = _arctan_primitive(sa), _arctan_primitive(sb)
+    m0 = np.where(near, half * f.sum(-1), b1 - a1)
+    m1 = np.where(
+        near,
+        half * (f * u).sum(-1),
+        q * b1 - p * a1 - (_arctan_primitive2(sb) - _arctan_primitive2(sa)),
+    )
+    return m0, m1
+
+
 class _ArctanWeight(WeightFunction):
-    # shared parts of the arctan pair, which has closed-form antiderivatives
+    # shared parts of the arctan pair, which has exact moments
     _fields = ("center",)
     has_exact_integrals = True
+    _mirrored = False
 
     def __init__(self, center):
         c = _as_float(center, f"{self.kind}.center")
@@ -497,8 +471,14 @@ class _ArctanWeight(WeightFunction):
     def finite_knots(self):
         return (self.center,)
 
-    def double_integral(self, lo, hi):
-        return self.antideriv2(hi) - self.antideriv2(lo)
+    def _local_moments(self, p, q, y):
+        p, q, y = np.broadcast_arrays(p, q, y)
+        sigma = y - self.center
+        if not self._mirrored:
+            return _arctan_upper_moments(p, q, sigma)
+        # the lower weight at center + s is the upper one at center - s
+        m0, m1 = _arctan_upper_moments(-q, -p, -sigma)
+        return m0, -m1
 
 
 class ArctanUpperWeight(_ArctanWeight):
@@ -510,33 +490,16 @@ class ArctanUpperWeight(_ArctanWeight):
         t = np.asarray(t, dtype=float)
         return 0.5 + np.arctan(t - self.center) / np.pi
 
-    def antideriv(self, t):
-        t = np.asarray(t, dtype=float)
-        return _arctan_antideriv(t - self.center)
-
-    def antideriv2(self, t):
-        # antideriv works in the shifted variable s = t - center, so its
-        # own antiderivative is the shifted second antiderivative as is
-        t = np.asarray(t, dtype=float)
-        return _arctan_antideriv2(t - self.center)
-
 
 class ArctanLowerWeight(_ArctanWeight):
     """Complement 1/2 - arctan(t - center)/pi of the upper arctan weight."""
 
     kind = "arctan_lower"
+    _mirrored = True
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         return 0.5 - np.arctan(t - self.center) / np.pi
-
-    def antideriv(self, t):
-        t = np.asarray(t, dtype=float)
-        return t - _arctan_antideriv(t - self.center)
-
-    def antideriv2(self, t):
-        t = np.asarray(t, dtype=float)
-        return 0.5 * t * t - _arctan_antideriv2(t - self.center)
 
 
 class NormalizedWeight(WeightFunction):
@@ -544,7 +507,7 @@ class NormalizedWeight(WeightFunction):
 
     ``components`` are nonnegative functions (weights or plain
     callables); this weight evaluates components[index] divided by the
-    sum of all components.  No exact antiderivatives exist in general,
+    sum of all components.  No exact moments exist in general,
     so integrals go through adaptive quadrature.
     """
 

@@ -9,6 +9,11 @@ and Huber means.  With indicator ind = 1 when y < x:
 * Huber mean, cap nu:     0.5 * (phi(y) - phi(k + y) + k * phi'(x)),
   where k = cap(x - y, nu) clamps to [-nu, nu].
 
+When g' or phi'' is a constant c (``deriv_const``, true of every
+built-in generator), ``score`` takes the brackets in difference form,
+c(x - y), c(x - y)^2 / 2 and c k (2(x - y) - k) / 2, exact at any
+magnitude of x and y.
+
 Familiar special cases: g(t) = t gives the pinball loss, g(t) = 2t at
 level 1/2 gives absolute error, phi(t) = 2t^2 at level 1/2 gives squared
 error, and phi(t) = t^2 gives the classic Huber loss.
@@ -220,16 +225,25 @@ def score(spec: ScoringSpec, x, y):
     if not np.all(np.isfinite(x)) or not np.all(np.isfinite(y)):
         raise ValidationError("forecasts and observations must be finite")
     gen = spec.generator
+    c = gen.deriv_const
     ind = (y < x).astype(float)
+    d = x - y
     if spec.functional == "quantile":
-        out = (ind - spec.alpha) * (gen.value(x) - gen.value(y))
+        diff = c * d if c is not None else gen.value(x) - gen.value(y)
+        out = (ind - spec.alpha) * diff
     elif spec.functional == "expectile":
-        out = np.abs(ind - spec.alpha) * (
-            gen.value(y) - gen.value(x) - gen.derivative(x) * (y - x)
-        )
+        if c is not None:
+            bregman = 0.5 * c * d * d
+        else:
+            bregman = gen.value(y) - gen.value(x) - gen.derivative(x) * (y - x)
+        out = np.abs(ind - spec.alpha) * bregman
     else:
-        k = np.clip(x - y, -spec.nu, spec.nu)
-        out = 0.5 * (gen.value(y) - gen.value(k + y) + k * gen.derivative(x))
+        k = np.clip(d, -spec.nu, spec.nu)
+        if c is not None:
+            form = 0.5 * c * k * (2.0 * d - k)
+        else:
+            form = gen.value(y) - gen.value(k + y) + k * gen.derivative(x)
+        out = 0.5 * form
     if out.ndim == 0:
         return float(out)
     return out

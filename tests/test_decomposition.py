@@ -251,9 +251,9 @@ def test_custom_weight_subclass_goes_through_quadrature():
     assert not upper.has_exact_integrals
     assert upper.integral(0.0, 2.0) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(NotImplementedError):
-        upper.antideriv(1.0)
+        upper.moments(0.0, 1.0, 0.0)
     with pytest.raises(NotImplementedError):
-        upper.double_integral(0.0, 1.0)
+        upper.moments(np.array([0.0, 1.0]), 2.0, 1.0)
     with pytest.raises(NotImplementedError):
         upper.config()
     rng = np.random.default_rng(16)

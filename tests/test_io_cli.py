@@ -3,6 +3,9 @@
 import ast
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -121,6 +124,13 @@ def test_read_cases_csv_errors(tmp_path):
             p.write_text(text)
             with pytest.raises(ValidationError, match=message):
                 read(p)
+        # undecodable bytes and oversized fields are input errors too
+        p.write_bytes(f"{header}\na,1,{rest}\n".encode() + b"b,\xff,1\n")
+        with pytest.raises(ValidationError, match="not UTF-8 text"):
+            read(p)
+        p.write_text(f"{header}\n{'x' * 140000},1,{rest}\n")
+        with pytest.raises(ValidationError, match=":2: field larger than"):
+            read(p)
         # a UTF-8 byte order mark before the header is not part of it
         p.write_text(f"\ufeff{header}\na,1,{rest}\n", encoding="utf-8")
         read(p)
@@ -385,6 +395,19 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     # a config that is valid JSON but not an object
     cfg.write_text("[1, 2]")
     assert main(["score", "--config", str(cfg)]) == 2
+    # a config that is not UTF-8
+    cfg.write_bytes(b'{"functional": "\xff"}')
+    assert main(["score", "--config", str(cfg)]) == 2
+    assert "not UTF-8 text" in capsys.readouterr().err
+    # an input holding byte 0xff, and one with a 140,000-character case id
+    base = ["score", "--functional", "quantile", "--alpha", "0.5"]
+    inp.write_bytes(b"case_id,forecast,obs\na,1,2\nb,\xff,2\n")
+    out = ["--input", str(inp), "--out", str(tmp_path / "x")]
+    assert main(base + out) == 2
+    assert "not UTF-8 text" in capsys.readouterr().err
+    inp.write_text(f"case_id,forecast,obs\n{'c' * 140000},1,2\n")
+    assert main(base + out) == 2
+    assert ":2: field larger than" in capsys.readouterr().err
     # argparse handles unknown subcommands with its own exit
     with pytest.raises(SystemExit):
         main(["frobnicate"])
@@ -411,3 +434,17 @@ def test_only_io_opens_files_or_imports_csv_and_json():
                     if name.split(".")[0] in ("csv", "json"):
                         hits.append(f"{path.name}:{node.lineno}: import {name}")
     assert hits == []
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is imported only by the functions that use it
+    code = (
+        "import sys, veriscore.cli; "
+        "print([m for m in sys.modules if m.startswith('scipy.stats')])"
+    )
+    src = str(Path(veriscore.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -18,10 +18,14 @@ from veriscore import (
     TrapezoidalWeight,
     ValidationError,
     arctan_pair,
+    expectile_score,
+    huber_loss,
     load_partition_config,
     parse_partition_config,
     partition_config,
+    quantile_score,
     rectangular_partition,
+    region_generator,
     trapezoidal_partition,
     normalized_partition,
     validate_partition,
@@ -123,16 +127,28 @@ def test_arctan_pair_values_and_complement():
 
 
 def test_arctan_antiderivatives_match_numeric():
-    up = ArctanUpperWeight(1.5)
     t = np.linspace(-8.0, 10.0, 41)
     h = 1e-5
-    d1 = (up.antideriv(t + h) - up.antideriv(t - h)) / (2 * h)
-    np.testing.assert_allclose(d1, up(t), rtol=0, atol=1e-9)
-    d2 = (up.antideriv2(t + h) - up.antideriv2(t - h)) / (2 * h)
-    np.testing.assert_allclose(d2, up.antideriv(t), rtol=0, atol=1e-9)
-    lo = ArctanLowerWeight(1.5)
-    d1 = (lo.antideriv(t + h) - lo.antideriv(t - h)) / (2 * h)
-    np.testing.assert_allclose(d1, lo(t), rtol=0, atol=1e-9)
+    y = 0.5
+    for w in (ArctanUpperWeight(1.5), ArctanLowerWeight(1.5)):
+        # d/dh of the moments from a fixed point to h: chi(h), (h - y) chi(h)
+        up, down = w.moments(-9.0, t + h, y), w.moments(-9.0, t - h, y)
+        d0 = (up[0] - down[0]) / (2 * h)
+        np.testing.assert_allclose(d0, w(t), rtol=0, atol=1e-9)
+        d1 = (up[1] - down[1]) / (2 * h)
+        np.testing.assert_allclose(d1, (t - y) * w(t), rtol=0, atol=1e-9)
+        # short spans take the Gauss-Legendre rule, long ones the
+        # antiderivative difference
+        for lo, hi in ((2.0, 2.001), (40.0, 40.01), (-3.0, 7.0), (7.0, -3.0)):
+            for k in (0, 1):
+                ref, _ = integrate.quad(
+                    lambda s: (s - y) ** k * float(w(np.array([s]))[0]),
+                    lo,
+                    hi,
+                    epsabs=1e-13,
+                    epsrel=1e-13,
+                )
+                assert float(w.moments(lo, hi, y)[k]) == pytest.approx(ref, abs=1e-12)
 
 
 def test_tabulated_weight_interpolates_and_extends():
@@ -328,10 +344,13 @@ def test_antiderivative_chain_by_finite_differences():
     ):
         # probe between knots so the central difference sees a smooth piece
         t = np.linspace(-6.0, 8.0, 113) + 0.0037
-        d1 = (w.antideriv(t + h) - w.antideriv(t - h)) / (2 * h)
-        np.testing.assert_allclose(d1, w(t), rtol=0, atol=1e-6)
-        d2 = (w.antideriv2(t + h) - w.antideriv2(t - h)) / (2 * h)
-        np.testing.assert_allclose(d2, w.antideriv(t), rtol=0, atol=1e-6)
+        for y in (0.0, 2.5):
+            # d/dh of the moments from a fixed point to h: chi(h), (h - y) chi(h)
+            up, down = w.moments(-7.0, t + h, y), w.moments(-7.0, t - h, y)
+            d0 = (up[0] - down[0]) / (2 * h)
+            np.testing.assert_allclose(d0, w(t), rtol=0, atol=1e-6)
+            d1 = (up[1] - down[1]) / (2 * h)
+            np.testing.assert_allclose(d1, (t - y) * w(t), rtol=0, atol=1e-6)
 
 
 def test_double_integral_consistent_with_antiderivative():
@@ -339,12 +358,24 @@ def test_double_integral_consistent_with_antiderivative():
     rng = np.random.default_rng(5)
     lo = rng.uniform(-8, 8, 64)
     hi = rng.uniform(-8, 8, 64)
-    got = w.double_integral(lo, hi)
-    ref = w.antideriv2(hi) - w.antideriv2(lo)
-    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+    y = rng.uniform(-8, 8, 64)
+    m0, m1 = w.moments(lo, hi, y)
+    np.testing.assert_allclose(m0, w.integral(lo, hi), rtol=0, atol=1e-12)
+    # moving the centre from y to 0 adds y * m0
+    np.testing.assert_allclose(
+        w.moments(lo, hi, 0.0)[1], m1 + y * m0, rtol=0, atol=1e-12
+    )
     # off-support spans vanish exactly, including against orientation
-    assert float(w.double_integral(-9.0, -5.0)) == 0.0
-    assert float(w.double_integral(6.0, 9.0)) == float(
-        w.antideriv(np.array([6.0]))[0]
-    ) * 3.0
-    assert float(w.double_integral(9.0, 6.0)) == -float(w.double_integral(6.0, 9.0))
+    for a, b in ((-9.0, -5.0), (-5.0, -9.0), (6.0, 9.0), (9.0, 6.0)):
+        assert float(w.integral(a, b)) == 0.0
+        assert [float(m) for m in w.moments(a, b, 7.0)] == [0.0, 0.0]
+    assert float(w.integral(9.0, -9.0)) == -float(w.integral(-9.0, 9.0)) == -3.5
+    # and so do the score forms built on them
+    for spec in (quantile_score(0.3), expectile_score(0.7), huber_loss(0.5)):
+        r = region_generator(spec, w)
+        assert r.score(-9.0, -5.0) == r.score(-5.0, -9.0) == 0.0
+        assert r.score(6.0, 9.0) == r.score(9.0, 6.0) == 0.0
+    # reversed orientation flips the sign of m0 and of ind - alpha together
+    q = region_generator(quantile_score(0.3), w)
+    assert q.score(9.0, -9.0) == pytest.approx(0.7 * 3.5, rel=1e-15)
+    assert q.score(-9.0, 9.0) == pytest.approx(0.3 * 3.5, rel=1e-15)
