@@ -8,183 +8,21 @@ intervals.  Two built-in simulations illustrate why regional
 components beat naive event selection when verifying extremes.
 """
 
-from .crps import EmpiricalCDF, crps, crps_components, crps_decomposed, read_ensemble_csv
-from .decomposition import (
-    DecomposedScore,
-    RegionGenerator,
-    decompose,
-    region_generator,
-    score_components,
-    score_decomposed,
-)
-from .elementary import (
-    MixtureCheck,
-    MurphyCurve,
-    elementary_score,
-    murphy_area,
-    murphy_curve,
-    verify_mixture,
-    write_murphy_csv,
-    write_murphy_meta,
-)
-from .errors import NumericError, ValidationError, VeriscoreError
-from .evaluation import (
-    STREAMS,
-    ComparisonReport,
-    HedgingReport,
-    StrategyResult,
-    SyntheticConfig,
-    case_scores,
-    compare,
-    generate_synthetic,
-    lognormal_mean,
-    lognormal_tail_mean,
-    simulate_hedging,
-    stream_rng,
-    truncated_normal_mean,
-)
-from .io import (
-    CaseSet,
-    ForecastCase,
-    fmt12,
-    mean_of_rounded,
-    read_cases_csv,
-    read_paired_csv,
-    round12,
-    round12_array,
-    write_cases_csv,
-    write_json,
-    write_paired_csv,
-    write_scores_csv,
-)
-from .partition import (
-    ArctanLowerWeight,
-    ArctanUpperWeight,
-    IntervalDomain,
-    NormalizedWeight,
-    PartitionOfUnity,
-    PartitionReport,
-    REAL_LINE,
-    RectangularWeight,
-    TabulatedWeight,
-    TrapezoidalWeight,
-    WeightFunction,
-    arctan_pair,
-    eval_weight,
-    load_partition_config,
-    normalized_partition,
-    parse_partition_config,
-    partition_config,
-    rectangular_partition,
-    trapezoidal_partition,
-    validate_partition,
-)
-from .scoring import (
-    DiscreteDistribution,
-    FunctionalValue,
-    GeneratorSpec,
-    ScoringSpec,
-    absolute_error,
-    cap,
-    check_generator,
-    expectile_score,
-    functional_value,
-    huber_loss,
-    quantile_score,
-    score,
-    squared_error,
-)
+import sys as _sys
+
+from .crps import *  # noqa: F403
+from .decomposition import *  # noqa: F403
+from .elementary import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .evaluation import *  # noqa: F403
+from .io import *  # noqa: F403
+from .partition import *  # noqa: F403
+from .scoring import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "VeriscoreError",
-    "ValidationError",
-    "NumericError",
-    # partitions
-    "IntervalDomain",
-    "REAL_LINE",
-    "WeightFunction",
-    "RectangularWeight",
-    "TrapezoidalWeight",
-    "ArctanLowerWeight",
-    "ArctanUpperWeight",
-    "TabulatedWeight",
-    "NormalizedWeight",
-    "PartitionOfUnity",
-    "PartitionReport",
-    "rectangular_partition",
-    "trapezoidal_partition",
-    "normalized_partition",
-    "arctan_pair",
-    "eval_weight",
-    "validate_partition",
-    "parse_partition_config",
-    "load_partition_config",
-    "partition_config",
-    # scoring
-    "GeneratorSpec",
-    "ScoringSpec",
-    "DiscreteDistribution",
-    "FunctionalValue",
-    "cap",
-    "score",
-    "functional_value",
-    "check_generator",
-    "quantile_score",
-    "absolute_error",
-    "expectile_score",
-    "squared_error",
-    "huber_loss",
-    # decomposition
-    "RegionGenerator",
-    "DecomposedScore",
-    "region_generator",
-    "decompose",
-    "score_components",
-    "score_decomposed",
-    # crps
-    "EmpiricalCDF",
-    "crps",
-    "crps_components",
-    "crps_decomposed",
-    "read_ensemble_csv",
-    # elementary scores and murphy curves
-    "elementary_score",
-    "MurphyCurve",
-    "murphy_curve",
-    "murphy_area",
-    "write_murphy_csv",
-    "write_murphy_meta",
-    "MixtureCheck",
-    "verify_mixture",
-    # evaluation and simulations
-    "STREAMS",
-    "stream_rng",
-    "case_scores",
-    "ComparisonReport",
-    "compare",
-    "SyntheticConfig",
-    "generate_synthetic",
-    "truncated_normal_mean",
-    "lognormal_mean",
-    "lognormal_tail_mean",
-    "StrategyResult",
-    "HedgingReport",
-    "simulate_hedging",
-    # io
-    "ForecastCase",
-    "CaseSet",
-    "fmt12",
-    "mean_of_rounded",
-    "round12",
-    "round12_array",
-    "read_cases_csv",
-    "write_cases_csv",
-    "read_paired_csv",
-    "write_paired_csv",
-    "write_scores_csv",
-    "write_json",
+# the public API is the union of the submodules' __all__ lists
+_MODULES = "errors partition scoring decomposition crps elementary evaluation io".split()
+__all__ = ["__version__"] + [
+    name for m in _MODULES for name in _sys.modules[f"{__name__}.{m}"].__all__
 ]

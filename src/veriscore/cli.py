@@ -280,9 +280,13 @@ def _cmd_crps(args, cfg) -> int:
     totals = np.asarray([crps(cdf, obs) for cid, obs, cdf in rows])
     comps = None
     if partition is not None:
-        comps = np.stack(
-            [crps_components(cdf, obs, partition) for cid, obs, cdf in rows]
-        ).T
+        comps = []
+        for cid, obs, cdf in rows:
+            try:
+                comps.append(crps_components(cdf, obs, partition))
+            except NumericError as exc:
+                raise NumericError(f"case {cid}: {exc}") from exc
+        comps = np.stack(comps).T
     return _write_scores(out, ids, {"kind": "crps"}, partition, totals, comps)
 
 

@@ -8,9 +8,10 @@ a finite exact sum; no quadrature is involved.
 
 Weighting the integrand by the members of a partition of unity splits
 the CRPS into per-region components that sum back to the total.  The
-region integrals of each weight are exact for the piecewise-linear and
-arctan weight kinds and go through adaptive quadrature for normalized
-weights.
+region integrals of each weight are ``WeightFunction.integral``: exact
+for the piecewise-linear and arctan weight kinds, and for normalized
+weights one vectorized Gauss–Kronrod pass over all segments of a case
+(``veriscore.quadrature``).
 
 A degenerate (single point) forecast distribution reduces the CRPS to
 the absolute error |x - y| exactly.

@@ -39,10 +39,13 @@ in coordinates local to y: exact to rounding at any magnitude, and
 exactly zero for forecast and observation on the same side outside the
 weight's support.
 
-Otherwise the provider is adaptive quadrature of rho_j(y + u) * u**k
-over u, split at the weight's knots.  The target absolute tolerance is
-``quad_tol`` (default 1e-10); a result whose error estimate exceeds
-1e-7 * max(1, |value|) raises :class:`NumericError`.
+Otherwise the provider is :func:`veriscore.quadrature.gauss_kronrod`
+of rho_j(y + u) * u**k over u, for all cases at once, with panels cut at
+the weight's knots; the Huber split at k is an endpoint.  A panel is
+refined until its error estimate meets max(``quad_tol``, 1e-10 * |value|)
+(``quad_tol`` defaults to 1e-10); a result whose error estimate still
+exceeds 1e-7 * max(1, |value|) raises :class:`NumericError` naming the
+failing element.
 """
 
 from __future__ import annotations
@@ -51,10 +54,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
-from .errors import NumericError, ValidationError
+from .errors import ValidationError
 from .partition import PartitionOfUnity, WeightFunction
+from .quadrature import TOL, gauss_kronrod
 from .scoring import ScoringSpec, score
 
 __all__ = [
@@ -66,17 +69,6 @@ __all__ = [
     "score_components",
     "score_decomposed",
 ]
-
-QUAD_TOL_DEFAULT = 1e-10
-
-
-def _each(f, *arrays):
-    # f applied to every element of the broadcast arrays, as floats
-    arrays = np.broadcast_arrays(*arrays)
-    flat = [a.ravel() for a in arrays]
-    out = np.array([f(*vals) for vals in zip(*flat)], dtype=float)
-    return out.reshape(arrays[0].shape)
-
 
 def _scalar_or_array(out):
     out = np.asarray(out)
@@ -130,7 +122,7 @@ class RegionGenerator:
         weight: WeightFunction,
         *,
         anchor: float | None = None,
-        quad_tol: float = QUAD_TOL_DEFAULT,
+        quad_tol: float = TOL,
     ):
         if not isinstance(spec, ScoringSpec):
             raise ValidationError("spec must be a ScoringSpec")
@@ -172,37 +164,13 @@ class RegionGenerator:
         return c * self.weight._local_moments(p, q, y)[k]
 
     def _quad_moment(self, k, p, q, y):
-        return _each(lambda *args: self._quad(k, *args), p, q, y)
+        knots = self.weight.finite_knots()
+        return gauss_kronrod(self._density, p, q, y, k, knots, self.quad_tol)
 
     def _density(self, t):
         gen = self.spec.generator
         d = gen.derivative(t) if gen.family == "g" else gen.second_derivative(t)
         return np.asarray(d, dtype=float) * self.weight(t)
-
-    def _quad(self, k: int, p: float, q: float, y: float) -> float:
-        # signed integral of density(y + u) * u**k for u from p to q, split
-        # at the weight's knots
-        if p == q:
-            return 0.0
-        sign = 1.0
-        if q < p:
-            p, q, sign = q, p, -1.0
-        pts = [t - y for t in self.weight.finite_knots() if p < t - y < q]
-        val, err = integrate.quad(
-            lambda u: float(self._density(np.asarray([y + u]))[0]) * u**k,
-            p,
-            q,
-            points=pts or None,
-            epsabs=self.quad_tol,
-            epsrel=1e-10,
-            limit=300,
-        )
-        if err > 1e-7 * max(1.0, abs(val)):
-            raise NumericError(
-                f"component quadrature on [{y + p}, {y + q}] achieved error "
-                f"{err:.2e} only"
-            )
-        return sign * val
 
     # -- anchored pointwise evaluation -------------------------------------
 
@@ -237,7 +205,8 @@ class RegionGenerator:
         d = x - y
         ind = (y < x).astype(float)
         if spec.functional == "quantile":
-            out = (ind - spec.alpha) * self._moment(0, 0.0, d, y)
+            # + 0.0 turns the -0.0 at x == y or off the support into 0.0
+            out = (ind - spec.alpha) * self._moment(0, 0.0, d, y) + 0.0
         elif spec.functional == "expectile":
             out = np.abs(ind - spec.alpha) * np.abs(self._moment(1, 0.0, d, y))
         else:
@@ -254,7 +223,7 @@ def region_generator(
     weight: WeightFunction,
     *,
     anchor: float | None = None,
-    quad_tol: float = QUAD_TOL_DEFAULT,
+    quad_tol: float = TOL,
 ) -> RegionGenerator:
     """Build the component generator for a single weight."""
     return RegionGenerator(spec, weight, anchor=anchor, quad_tol=quad_tol)
@@ -265,7 +234,7 @@ def decompose(
     partition: PartitionOfUnity,
     *,
     anchors=None,
-    quad_tol: float = QUAD_TOL_DEFAULT,
+    quad_tol: float = TOL,
 ) -> tuple[RegionGenerator, ...]:
     """Component generators for every weight of a partition.
 

@@ -6,6 +6,8 @@ configuration (exit 2) and numerical failures such as quadrature not
 reaching its tolerance (exit 3).
 """
 
+__all__ = ["VeriscoreError", "ValidationError", "NumericError"]
+
 
 class VeriscoreError(Exception):
     """Base class for all package errors."""
@@ -16,4 +18,11 @@ class ValidationError(VeriscoreError):
 
 
 class NumericError(VeriscoreError):
-    """A numerical routine failed to reach its accuracy target."""
+    """A numerical routine failed to reach its accuracy target.
+
+    ``index`` is the flat position of the failing element, or None.
+    """
+
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomposition import decompose, region_generator, score_components
-from .errors import ValidationError
+from .errors import NumericError, ValidationError
 from .io import CaseSet, round12
 from .partition import PartitionOfUnity, RectangularWeight, partition_config
 from .scoring import ScoringSpec, score, squared_error
@@ -79,7 +79,8 @@ def case_scores(spec: ScoringSpec, cases: CaseSet, partition=None, *, quad_tol=N
     """Per-case total scores and, with a partition, their components.
 
     Returns (totals, components) where totals has one entry per case
-    and components has one row per partition member, or None.
+    and components has one row per partition member, or None.  A
+    quadrature failure is re-raised as NumericError naming the case id.
     """
     totals = np.asarray(score(spec, cases.forecasts, cases.observations))
     if partition is None:
@@ -88,7 +89,10 @@ def case_scores(spec: ScoringSpec, cases: CaseSet, partition=None, *, quad_tol=N
     partition.domain.require(cases.observations, "observation")
     kwargs = {} if quad_tol is None else {"quad_tol": quad_tol}
     regions = decompose(spec, partition, **kwargs)
-    comps = score_components(regions, cases.forecasts, cases.observations)
+    try:
+        comps = score_components(regions, cases.forecasts, cases.observations)
+    except NumericError as exc:
+        raise NumericError(f"case {cases.ids[exc.index]}: {exc}") from exc
     return totals, comps
 
 

@@ -27,8 +27,9 @@ which ``WeightFunction.moments(lo, hi, y)`` returns exactly: the
 integral of chi and of (t - y) * chi over [lo, hi].  The table
 integrates each linear segment in coordinates local to y, so the
 moments are exact to rounding at any magnitude.  The arctan pair has
-exact moments as well; normalized weights fall back to adaptive
-quadrature.
+exact moments as well.  Normalized and custom weights get theirs from
+:func:`veriscore.quadrature.gauss_kronrod`, vectorized over all
+intervals at once and cut at ``finite_knots()``.
 
 Configuration files
 -------------------
@@ -62,10 +63,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import NumericError, ValidationError
 from .io import read_json
+from .quadrature import gauss_kronrod
 
 __all__ = [
     "IntervalDomain",
@@ -177,10 +178,10 @@ class WeightFunction:
     their parameters and build it; ``_fields`` names the parameters that
     ``config()`` echoes.  A subclass that builds no table keeps
     ``bounds = None`` and implements ``__call__`` (and ``support`` where
-    it is narrower than the real line).  It has no exact moments, so
-    scores built on it go through quadrature, and no ``config()`` form,
-    unless it supplies its own ``_local_moments`` and ``config``, as the
-    arctan pair does.
+    it is narrower than the real line).  It has no exact moments, so its
+    ``moments`` and the scores built on it come from quadrature, and no
+    ``config()`` form, unless it supplies its own ``_local_moments`` and
+    ``config``, as the arctan pair does.
 
     ``moments(lo, hi, y)`` integrates the weight and (t - y) times the
     weight over [lo, hi] segment by segment, in coordinates local to y,
@@ -258,8 +259,8 @@ class WeightFunction:
         """Signed ``(integral of chi, integral of (t - y) * chi)`` from lo to hi.
 
         Vectorized over broadcast lo, hi and y.  The integrals are taken
-        in coordinates local to y (see ``_local_moments``), so they stay
-        exact to rounding at any magnitude of y.
+        in coordinates local to y (see ``_local_moments``), so those of a
+        table stay exact to rounding at any magnitude of y.
         """
         y = np.asarray(y, dtype=float)
         return self._local_moments(
@@ -267,11 +268,13 @@ class WeightFunction:
         )
 
     def _local_moments(self, p, q, y):
-        # moments over t in [y + p, y + q], t - y = u: every segment,
-        # extensions included, is clipped to [p, q] in u and integrated
-        # about its clipped midpoint cm, where chi = vm + slope * (u - cm)
+        # moments over t in [y + p, y + q], t - y = u
         if self.bounds is None:
-            raise NotImplementedError(f"{self.kind} weight has no exact moments")
+            # no table: adaptive quadrature of chi(y + u) * u**k
+            knots = self.finite_knots()
+            return tuple(gauss_kronrod(self, p, q, y, k, knots) for k in (0, 1))
+        # every segment, extensions included, is clipped to [p, q] in u and
+        # integrated about its clipped midpoint cm, where chi = vm + slope * (u - cm)
         p, q, y = np.broadcast_arrays(p, q, y)
         m0 = np.zeros(p.shape)
         m1 = np.zeros(p.shape)
@@ -291,37 +294,7 @@ class WeightFunction:
 
     def integral(self, lo, hi):
         """Signed integral of the weight itself between lo and hi."""
-        if self.has_exact_integrals:
-            return self.moments(lo, hi, lo)[0]
-        return _quad_weight(self, lo, hi)
-
-
-def _quad_weight(w: WeightFunction, lo, hi):
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    out = np.empty(np.broadcast(lo, hi).shape)
-    flat_lo = np.broadcast_to(lo, out.shape).ravel()
-    flat_hi = np.broadcast_to(hi, out.shape).ravel()
-    flat = out.ravel()
-    for i in range(flat.size):
-        a, b = flat_lo[i], flat_hi[i]
-        if a == b:
-            flat[i] = 0.0
-            continue
-        val, err = integrate.quad(
-            lambda t: float(w(np.asarray([t]))[0]),
-            a,
-            b,
-            epsabs=1e-12,
-            epsrel=1e-10,
-            limit=200,
-        )
-        if err > 1e-8 * max(1.0, abs(val)):
-            raise NumericError(
-                f"weight integral on [{a}, {b}] reached error {err:.2e} only"
-            )
-        flat[i] = val
-    return out if out.shape else float(flat[0])
+        return self.moments(lo, hi, lo)[0]
 
 
 def _trapezoid_table(a, b, c, d):

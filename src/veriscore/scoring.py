@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import optimize
 
 from .errors import ValidationError
 
@@ -230,7 +229,7 @@ def score(spec: ScoringSpec, x, y):
     d = x - y
     if spec.functional == "quantile":
         diff = c * d if c is not None else gen.value(x) - gen.value(y)
-        out = (ind - spec.alpha) * diff
+        out = (ind - spec.alpha) * diff + 0.0  # + 0.0 turns -0.0 into 0.0
     elif spec.functional == "expectile":
         if c is not None:
             bregman = 0.5 * c * d * d
@@ -340,6 +339,7 @@ def _expectile_value(dist: DiscreteDistribution, alpha: float) -> FunctionalValu
     lo, hi = float(v[0]), float(v[-1])
     if lo == hi:
         return FunctionalValue(lo, lo, lo)
+    from scipy import optimize
     root = float(optimize.brentq(ident, lo, hi, xtol=1e-13, rtol=8.9e-16))
     return FunctionalValue(root, root, root)
 

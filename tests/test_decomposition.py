@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from veriscore import (
     ArctanLowerWeight,
@@ -250,10 +251,13 @@ def test_custom_weight_subclass_goes_through_quadrature():
     assert upper.finite_knots() == ()
     assert not upper.has_exact_integrals
     assert upper.integral(0.0, 2.0) == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(NotImplementedError):
-        upper.moments(0.0, 1.0, 0.0)
-    with pytest.raises(NotImplementedError):
-        upper.moments(np.array([0.0, 1.0]), 2.0, 1.0)
+    # moments without a table come from quadrature
+    m0, m1 = upper.moments(np.array([0.0, 1.0, 3.0]), 2.0, 1.0)
+    for lo, got0, got1 in zip((0.0, 1.0, 3.0), m0, m1):
+        ref0 = integrate.quad(lambda t: float(upper(t)), lo, 2.0)[0]
+        ref1 = integrate.quad(lambda t: (t - 1.0) * float(upper(t)), lo, 2.0)[0]
+        assert got0 == pytest.approx(ref0, abs=1e-12)
+        assert got1 == pytest.approx(ref1, abs=1e-12)
     with pytest.raises(NotImplementedError):
         upper.config()
     rng = np.random.default_rng(16)

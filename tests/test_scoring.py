@@ -1,5 +1,7 @@
 """Scoring-family values, functional solvers, and validation."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -11,11 +13,14 @@ from veriscore import (
     absolute_error,
     cap,
     check_generator,
+    decompose,
     expectile_score,
     functional_value,
     huber_loss,
     quantile_score,
+    rectangular_partition,
     score,
+    score_components,
     squared_error,
 )
 
@@ -71,6 +76,17 @@ def test_score_zero_at_coincidence_and_nonnegative():
         x = rng.uniform(-50, 50, 400)
         y = rng.uniform(-50, 50, 400)
         assert np.all(score(spec, x, y) >= 0.0)
+
+
+def test_quantile_zeros_are_positive():
+    # (ind - alpha) * 0.0 is -0.0 when ind = 0; scores and components
+    # must give +0.0 there, or the cases CSV shows "-0"
+    assert math.copysign(1.0, score(quantile_score(0.3), 1.0, 1.0)) == 1.0
+    regions = decompose(quantile_score(0.3), rectangular_partition([10.0]))
+    assert score_components(regions, 1.0, 1.0).tolist() == [0.0, 0.0]
+    # x == y, then each component off its cell on either side
+    for x, y in ((1.0, 1.0), (1.0, 2.0), (2.0, 1.0), (12.0, 11.0), (11.0, 12.0)):
+        assert np.all(np.copysign(1.0, score_components(regions, x, y)) == 1.0)
 
 
 def test_score_scalar_returns_float_and_broadcasts():
