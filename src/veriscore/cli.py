@@ -284,8 +284,8 @@ def _cmd_crps(args, cfg) -> int:
         for cid, obs, cdf in rows:
             try:
                 comps.append(crps_components(cdf, obs, partition))
-            except NumericError as exc:
-                raise NumericError(f"case {cid}: {exc}") from exc
+            except (NumericError, ValidationError) as exc:
+                raise type(exc)(f"case {cid}: {exc}") from exc
         comps = np.stack(comps).T
     return _write_scores(out, ids, {"kind": "crps"}, partition, totals, comps)
 

@@ -58,7 +58,7 @@ import numpy as np
 from .errors import ValidationError
 from .partition import PartitionOfUnity, WeightFunction
 from .quadrature import TOL, gauss_kronrod
-from .scoring import ScoringSpec, score
+from .scoring import ScoringSpec, moment_score, score
 
 __all__ = [
     "RegionGenerator",
@@ -196,25 +196,13 @@ class RegionGenerator:
     def score(self, x, y):
         """This region's score component, vectorized like score().
 
-        The forms are the moments of the module docstring.
+        The forms are the moments of the module docstring, written once
+        in :func:`veriscore.scoring.moment_score`.
         """
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        x, y = np.broadcast_arrays(x, y)
-        spec = self.spec
-        d = x - y
-        ind = (y < x).astype(float)
-        if spec.functional == "quantile":
-            # + 0.0 turns the -0.0 at x == y or off the support into 0.0
-            out = (ind - spec.alpha) * self._moment(0, 0.0, d, y) + 0.0
-        elif spec.functional == "expectile":
-            out = np.abs(ind - spec.alpha) * np.abs(self._moment(1, 0.0, d, y))
-        else:
-            k = np.clip(d, -spec.nu, spec.nu)
-            out = 0.5 * (
-                np.abs(self._moment(1, 0.0, k, y))
-                + spec.nu * np.abs(self._moment(0, k, d, y))
-            )
+        x, y = np.broadcast_arrays(
+            np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        )
+        out = moment_score(self.spec, self._moment, x, y)
         return _scalar_or_array(out)
 
 

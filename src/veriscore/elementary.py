@@ -14,6 +14,20 @@ another; integrating a curve against a mixing density recovers the
 mean score under the corresponding generator, which ``murphy_area``
 does numerically.
 
+The curve is a sweep, not an n x T array.  Each case's elementary
+score is piecewise linear in theta on half-open pieces: [y, x) or
+[x, y) for quantiles and expectiles, split at y - nu and y + nu for
+Huber means.  The piece ends are sorted once per system and the grid
+is located in them, so the active count at each threshold is an
+integer difference, and the linear part sums count * theta - sum y.
+Those sums are exact: y is cut into integer slices on a shared
+power-of-two grid, whose float prefix sums cannot round, and the
+slices are recombined as Python integers at the grid points only.
+Each mean is then one correctly rounded division of the exact mean of
+the elementary scores (rates 1 - alpha, alpha and nu / 2 as floats).
+It is exactly 0.0 where no case is active and never negative.  Time is
+O((n + T) log n) and memory O(n + T) for n cases and T thresholds.
+
 ``verify_mixture`` checks the mixture representation for one forecast
 case by integrating elementary score times mixing density with a
 composite Simpson rule split at the integrand's kinks, and comparing
@@ -167,6 +181,109 @@ def _resolve_grid(grid, x_all: np.ndarray, y_all: np.ndarray) -> np.ndarray:
     )
 
 
+def _ceil_sum(a, b):
+    """The least float at or above the exact sum a + b, elementwise.
+
+    For a float theta, theta < a + b exactly iff theta < _ceil_sum(a, b).
+    The rounding error of a + b comes from the two-sum transformation.
+    """
+    s = a + b
+    bb = s - a
+    err = (a - (s - bb)) + (b - bb)
+    return np.where(err > 0, np.nextafter(s, np.inf), s)
+
+
+def _pieces(functional, x, y, alpha, nu):
+    """Every case's elementary score as classes of half-open pieces.
+
+    Yields (starts, ends, ys, rate): at theta in [start, end) a piece
+    adds rate * (theta - y) when ys is given and rate otherwise.
+    """
+    under, over = y < x, x < y
+    xu, yu, xo, yo = x[under], y[under], x[over], y[over]
+    if functional == "quantile":
+        classes = [(yu, xu, None, 1.0 - alpha), (xo, yo, None, alpha)]
+    elif functional == "expectile":
+        classes = [(yu, xu, yu, 1.0 - alpha), (xo, yo, yo, -alpha)]
+    else:
+        # min(|theta - y|, nu) is |theta - y| for y - nu < theta < y + nu
+        hi, lo = _ceil_sum(yu, nu), _ceil_sum(yo, -nu)
+        classes = [
+            (yu, np.minimum(xu, hi), yu, 0.5),
+            (np.maximum(xo, lo), yo, yo, -0.5),
+            (np.concatenate([hi, xo]), np.concatenate([xu, lo]), None, 0.5 * nu),
+        ]
+    for starts, ends, ys, rate in classes:
+        keep = starts < ends
+        yield starts[keep], ends[keep], None if ys is None else ys[keep], rate
+
+
+def _prefix(values, counts):
+    """Sums of the first counts[t] values, for every t."""
+    return np.concatenate(([0.0], np.cumsum(values)))[counts]
+
+
+def _exact_sums(ys, s_order, s_count, e_order, e_count):
+    """Exact sums of ys over the active pieces at every threshold.
+
+    Active pieces are the first s_count of ys[s_order] less the first
+    e_count of ys[e_order].  Returns levels [(d, b)], the sums being
+    sum(d * 2**b).  A level slices ys into integers below 2**bits times
+    2**b, bits = 53 - bit_length(n): no prefix sum of n can round.
+    """
+    bits = 53 - ys.size.bit_length()
+    b = int(np.frexp(np.abs(ys).max())[1]) - bits
+    rest = ys.copy()
+    levels = []
+    while rest.any():
+        q = np.trunc(np.ldexp(rest, -b))
+        rest -= np.ldexp(q, b)
+        levels.append((_prefix(q[s_order], s_count) - _prefix(q[e_order], e_count), b))
+        b = max(b - bits, -1074)
+    return levels
+
+
+def _as_int(values, shift):
+    """Integer-valued floats as Python ints, shifted left elementwise."""
+    return values.astype(np.int64).astype(object) << shift
+
+
+def _sweep_means(functional, thresholds, x, y, alpha, nu) -> np.ndarray:
+    """Mean elementary score of the cases (x, y) at every threshold."""
+    terms = []
+    for starts, ends, ys, rate in _pieces(functional, x, y, alpha, nu):
+        if starts.size == 0:
+            continue
+        s_order = np.argsort(starts)
+        e_order = np.argsort(ends)
+        s_count = np.searchsorted(starts[s_order], thresholds, side="right")
+        e_count = np.searchsorted(ends[e_order], thresholds, side="right")
+        levels = (
+            None if ys is None else _exact_sums(ys, s_order, s_count, e_order, e_count)
+        )
+        terms.append((rate, s_count - e_count, levels))
+    # every threshold and sum is an integer multiple of 2**unit, and each
+    # rate p / q has q a power of two dividing den
+    mant, texp = np.frexp(thresholds)
+    unit = min(
+        [0, int(texp.min()) - 53]
+        + [b for _, _, levels in terms for _, b in levels or ()]
+    )
+    theta = _as_int(np.ldexp(mant, 53), texp - 53 - unit)
+    den = max([1] + [rate.as_integer_ratio()[1] for rate, _, _ in terms])
+    num = np.zeros(thresholds.size, dtype=object)
+    for rate, count, levels in terms:
+        p, q = rate.as_integer_ratio()
+        count = count.astype(object)
+        if levels is None:
+            value = count << -unit
+        else:
+            value = count * theta - sum(_as_int(d, b - unit) for d, b in levels)
+        num += p * (den // q) * value
+    # int / int is correctly rounded
+    return (num / ((x.size * den) << -unit)).astype(float)
+
+
 def murphy_curve(
     systems,
     functional: str,
@@ -182,6 +299,10 @@ def murphy_curve(
     ``grid`` defaults to 501 thresholds spanning all forecasts and
     observations with 5 percent padding; an int changes the count, a
     (lo, hi, n) triple or an ascending array fixes it exactly.
+
+    The means come from an exact sweep (see the module docstring):
+    O((n + T) log n) time and O(n + T) memory, each mean correctly
+    rounded, exactly 0.0 where no case is active, never negative.
     """
     if isinstance(systems, dict):
         items = list(systems.items())
@@ -199,13 +320,9 @@ def murphy_curve(
         np.concatenate([x for x, _ in data]),
         np.concatenate([y for _, y in data]),
     )
-    means = np.empty((len(items), thresholds.size))
-    for i, (x, y) in enumerate(data):
-        vals = elementary_score(
-            functional, thresholds[:, None], x[None, :], y[None, :],
-            alpha=alpha_v, nu=nu_v,
-        )
-        means[i] = vals.mean(axis=1)
+    means = np.array(
+        [_sweep_means(functional, thresholds, x, y, alpha_v, nu_v) for x, y in data]
+    )
     return MurphyCurve(
         functional=functional,
         alpha=alpha_v,

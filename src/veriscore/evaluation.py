@@ -80,17 +80,18 @@ def case_scores(spec: ScoringSpec, cases: CaseSet, partition=None, *, quad_tol=N
 
     Returns (totals, components) where totals has one entry per case
     and components has one row per partition member, or None.  A
-    quadrature failure is re-raised as NumericError naming the case id.
+    quadrature failure is re-raised as NumericError, and a value outside
+    the partition's domain raises ValidationError, naming the case id.
     """
-    totals = np.asarray(score(spec, cases.forecasts, cases.observations))
-    if partition is None:
-        return totals, None
-    partition.domain.require(cases.forecasts, "forecast")
-    partition.domain.require(cases.observations, "observation")
-    kwargs = {} if quad_tol is None else {"quad_tol": quad_tol}
-    regions = decompose(spec, partition, **kwargs)
+    x, y = cases.forecasts, cases.observations
     try:
-        comps = score_components(regions, cases.forecasts, cases.observations)
+        totals = np.asarray(score(spec, x, y))
+        if partition is None:
+            return totals, None
+        partition.domain.require(x, "forecast", cases.ids)
+        partition.domain.require(y, "observation", cases.ids)
+        kwargs = {} if quad_tol is None else {"quad_tol": quad_tol}
+        comps = score_components(decompose(spec, partition, **kwargs), x, y)
     except NumericError as exc:
         raise NumericError(f"case {cases.ids[exc.index]}: {exc}") from exc
     return totals, comps
@@ -212,6 +213,9 @@ def _align(cases_a: CaseSet, cases_b: CaseSet) -> CaseSet:
     return aligned
 
 
+BOOTSTRAP_CHUNK_BYTES = 64 << 20  # memory for one chunk of bootstrap resamples
+
+
 def _normal_ci(rows: np.ndarray, level_z: float = 1.96):
     n = rows.shape[1]
     if n < 2:
@@ -226,9 +230,12 @@ def _bootstrap_ci(rows: np.ndarray, samples: int, rng: np.random.Generator):
     if n < 2:
         raise ValidationError("confidence intervals need at least 2 cases")
     stats = np.empty((samples, m))
+    # one resample holds n int64 indices and m x n gathered floats; the
+    # index stream and each resample's mean do not depend on the chunking
+    chunk = max(1, BOOTSTRAP_CHUNK_BYTES // (8 * (m + 1) * n))
     done = 0
     while done < samples:
-        b = min(512, samples - done)
+        b = min(chunk, samples - done)
         idx = rng.integers(0, n, size=(b, n))
         stats[done : done + b] = rows[:, idx].mean(axis=2).T
         done += b

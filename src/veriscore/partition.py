@@ -134,14 +134,18 @@ class IntervalDomain:
             ok = ok & (t < self.upper)
         return ok
 
-    def require(self, t, what="value"):
-        """Raise ValidationError if any entry of t falls outside the domain."""
+    def require(self, t, what="value", ids=None):
+        """Raise ValidationError if any entry of t falls outside the domain.
+
+        ``ids``, one per entry of a 1d t, names the first offending case.
+        """
         t = np.asarray(t, dtype=float)
-        ok = self.contains(t)
-        if not np.all(ok):
-            bad = t[~np.asarray(ok, dtype=bool)].ravel()
+        bad = np.flatnonzero(~np.asarray(self.contains(t), dtype=bool))
+        if bad.size:
+            i = bad[0]
+            case = "" if ids is None else f"case {ids[i]}: "
             raise ValidationError(
-                f"{what} {bad[0]!r} lies outside the domain "
+                f"{case}{what} {float(t.ravel()[i])!r} lies outside the domain "
                 f"[{self.lower}, {self.upper})"
             )
 

@@ -12,7 +12,10 @@ and Huber means.  With indicator ind = 1 when y < x:
 When g' or phi'' is a constant c (``deriv_const``, true of every
 built-in generator), ``score`` takes the brackets in difference form,
 c(x - y), c(x - y)^2 / 2 and c k (2(x - y) - k) / 2, exact at any
-magnitude of x and y.
+magnitude of x and y.  Any other generator is scored by
+``moment_score``: quadrature of g' or phi'' in coordinates local to y,
+the same forms its region components use, so the total does not cancel
+at large magnitude either.
 
 Familiar special cases: g(t) = t gives the pinball loss, g(t) = 2t at
 level 1/2 gives absolute error, phi(t) = 2t^2 at level 1/2 gives squared
@@ -31,6 +34,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ValidationError
+from .quadrature import gauss_kronrod
 
 __all__ = [
     "GeneratorSpec",
@@ -213,6 +217,32 @@ class ScoringSpec:
         return out
 
 
+def moment_score(spec: ScoringSpec, moment, x, y):
+    """The score from moments of its mixing density, in coordinates local to y.
+
+    ``moment(k, p, q, y)`` is the signed integral of rho(t) * (t - y)**k
+    over t from y + p to y + q, for k = 0 or 1, where rho is g' or phi''
+    times any region weight.  With d = x - y and k = cap(d, nu):
+
+        quantile    (ind - alpha) * moment(0, 0, d),
+        expectile   |ind - alpha| * |moment(1, 0, d)|,
+        Huber mean  (|moment(1, 0, k)| + nu * |moment(0, k, d)|) / 2.
+
+    No term cancels, so the forms keep their accuracy at any magnitude.
+    """
+    d = x - y
+    ind = (y < x).astype(float)
+    if spec.functional == "quantile":
+        # + 0.0 turns the -0.0 at x == y or off a weight's support into 0.0
+        return (ind - spec.alpha) * moment(0, 0.0, d, y) + 0.0
+    if spec.functional == "expectile":
+        return np.abs(ind - spec.alpha) * np.abs(moment(1, 0.0, d, y))
+    k = np.clip(d, -spec.nu, spec.nu)
+    return 0.5 * (
+        np.abs(moment(1, 0.0, k, y)) + spec.nu * np.abs(moment(0, k, d, y))
+    )
+
+
 def score(spec: ScoringSpec, x, y):
     """Evaluate the scoring function at forecasts x and observations y.
 
@@ -225,24 +255,20 @@ def score(spec: ScoringSpec, x, y):
         raise ValidationError("forecasts and observations must be finite")
     gen = spec.generator
     c = gen.deriv_const
-    ind = (y < x).astype(float)
-    d = x - y
-    if spec.functional == "quantile":
-        diff = c * d if c is not None else gen.value(x) - gen.value(y)
-        out = (ind - spec.alpha) * diff + 0.0  # + 0.0 turns -0.0 into 0.0
+    if c is None:
+        density = gen.derivative if gen.family == "g" else gen.second_derivative
+        out = moment_score(
+            spec, lambda k, p, q, y: gauss_kronrod(density, p, q, y, k), x, y
+        )
+    elif spec.functional == "quantile":
+        out = ((y < x) - spec.alpha) * (c * (x - y)) + 0.0  # + 0.0: no -0.0
     elif spec.functional == "expectile":
-        if c is not None:
-            bregman = 0.5 * c * d * d
-        else:
-            bregman = gen.value(y) - gen.value(x) - gen.derivative(x) * (y - x)
-        out = np.abs(ind - spec.alpha) * bregman
+        d = x - y
+        out = np.abs((y < x) - spec.alpha) * (0.5 * c * d * d)
     else:
+        d = x - y
         k = np.clip(d, -spec.nu, spec.nu)
-        if c is not None:
-            form = 0.5 * c * k * (2.0 * d - k)
-        else:
-            form = gen.value(y) - gen.value(k + y) + k * gen.derivative(x)
-        out = 0.5 * form
+        out = 0.5 * (0.5 * c * k * (2.0 * d - k))
     if out.ndim == 0:
         return float(out)
     return out

@@ -1,6 +1,8 @@
 """Elementary scores, Murphy curves, and mixture checks."""
 
 import json
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -114,6 +116,117 @@ def test_murphy_curve_validation():
         )
     with pytest.raises(ValidationError):
         murphy_curve({"A": (np.array([]), np.array([]))}, "quantile", alpha=0.5)
+
+
+PARAMS = (
+    ("quantile", {"alpha": 0.3}),
+    ("expectile", {"alpha": 0.7}),
+    ("huber_mean", {"nu": 1.5}),
+)
+
+
+def _dense_means(functional, thresholds, x, y, **params):
+    """The thresholds x cases broadcast the sweep replaced, kept as its oracle."""
+    return elementary_score(
+        functional, thresholds[:, None], x[None, :], y[None, :], **params
+    ).mean(axis=1)
+
+
+def _exact_mean(functional, theta, x, y, alpha=None, nu=None):
+    """Mean elementary score in rational arithmetic (rates as the floats used)."""
+    t, total = Fraction(theta), Fraction(0)
+    for xi, yi in zip(x.tolist(), y.tolist()):
+        if not min(xi, yi) <= theta < max(xi, yi):
+            continue
+        dist = abs(t - Fraction(yi))
+        if functional == "huber_mean":
+            total += min(dist, Fraction(nu)) / 2
+        else:
+            rate = Fraction(1.0 - alpha) if yi < xi else Fraction(alpha)
+            total += rate * (dist if functional == "expectile" else 1)
+    return total / len(x)
+
+
+def test_murphy_sweep_matches_dense_oracle():
+    rng = np.random.default_rng(21)
+    for n in (1, 7, 500):
+        y = rng.normal(4, 15, n)
+        x = y + rng.normal(0, 2, n) * rng.choice([0.0, 1.0, 10.0], n)
+        grid = np.unique(np.concatenate([rng.uniform(-60, 70, 200), x, y, y + 1.5]))
+        for functional, params in PARAMS:
+            got = murphy_curve({"S": (x, y)}, functional, grid=grid, **params).means[0]
+            want = _dense_means(functional, grid, x, y, **params)
+            assert np.abs(got - want).max() <= 1e-12 * max(1.0, want.max())
+
+
+def test_murphy_sweep_edge_cases():
+    # ties x == y (cases 0, 3 and 6), duplicate cases (1 and 2), and a grid
+    # holding every x, y and y +- nu, where the half-open convention decides
+    x = np.array([1.0, 2.0, 2.0, 2.0, 5.0, -3.0, 4.0])
+    y = np.array([1.0, 4.0, 4.0, 2.0, 0.5, -1.0, 4.0])
+    grid = np.unique(np.concatenate([x, y, y - 1.5, y + 1.5, [-9.0, 20.0]]))
+    for functional, params in PARAMS:
+        curve = murphy_curve({"S": (x, y)}, functional, grid=grid, **params)
+        want = [float(_exact_mean(functional, t, x, y, **params)) for t in grid]
+        assert curve.means[0].tolist() == want
+        # a grid that misses the data, and ties alone, give exact zeros
+        off = murphy_curve({"S": (x, y)}, functional, grid=(10.0, 12.0, 5), **params)
+        ties = murphy_curve({"S": (x[[0, 3, 6]], y[[0, 3, 6]])}, functional, **params)
+        assert off.means.tolist() == [[0.0] * 5]
+        assert not ties.means.any()
+    one = murphy_curve(
+        {"S": (np.array([3.0]), np.array([1.0]))}, "expectile", alpha=0.25,
+        grid=np.array([0.0, 1.0, 2.0, 3.0]),
+    )
+    assert one.means.tolist() == [[0.0, 0.0, 0.75, 0.0]]
+
+
+def test_murphy_sweep_is_correctly_rounded_at_any_magnitude():
+    # the grid holds the rounded y +- nu, which the exact Huber split must
+    # place on the right side of the unrounded kink
+    rng = np.random.default_rng(22)
+    for scale in (1.0, 1e6, 1e12):
+        y = rng.normal(0, 1, 30) * scale
+        x = y + rng.normal(0, 1, 30) * rng.choice([1e-3, 1.0, 1e3], 30)
+        grid = np.unique(
+            np.concatenate([x, y, y + 0.3, y - 0.3, rng.normal(0, 1, 30) * scale])
+        )
+        for functional, _ in PARAMS:
+            kw = {"nu": 0.3} if functional == "huber_mean" else {"alpha": 0.3}
+            curve = murphy_curve({"S": (x, y)}, functional, grid=grid, **kw)
+            want = [float(_exact_mean(functional, t, x, y, **kw)) for t in grid]
+            assert curve.means[0].tolist() == want
+
+
+def test_murphy_sweep_zero_off_support_and_nonnegative():
+    # two clusters far from the origin; the thresholds between them see
+    # no case, where float prefix sums would leave rounding residue
+    rng = np.random.default_rng(23)
+    y = np.concatenate([rng.uniform(1000, 1001, 300), rng.uniform(5000, 5001, 300)])
+    x = y + rng.uniform(-0.5, 0.5, 600)
+    grid = np.linspace(990.0, 5010.0, 4021)
+    lo, hi = np.minimum(x, y), np.maximum(x, y)
+    inside = ((lo[None, :] < grid[:, None]) & (grid[:, None] < hi[None, :])).any(axis=1)
+    covered = ((lo[None, :] <= grid[:, None]) & (grid[:, None] < hi[None, :])).any(axis=1)
+    for functional, params in PARAMS:
+        means = murphy_curve({"S": (x, y)}, functional, grid=grid, **params).means[0]
+        assert np.all(means[~covered] == 0.0)
+        assert np.all(means[inside] > 0.0)
+        assert np.all(means >= 0.0)
+
+
+def test_murphy_sweep_memory_is_linear():
+    rng = np.random.default_rng(24)
+    y = rng.normal(4, 15, 200_000)
+    x = y + rng.normal(0, 2, y.size)
+    for functional, params in PARAMS:
+        tracemalloc.start()
+        try:
+            murphy_curve({"S": (x, y)}, functional, grid=2001, **params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20  # the dense array alone would be 3.2 GB
 
 
 def test_murphy_area_recovers_mean_score():

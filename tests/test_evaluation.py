@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from veriscore import evaluation
+
 from veriscore import (
     CaseSet,
     SyntheticConfig,
@@ -117,6 +119,28 @@ def test_compare_bootstrap_deterministic():
     assert d["ci"]["seed"] == 3
     lo, hi = r1.ci_total
     assert lo < r1.mean_diff < hi
+
+
+def test_bootstrap_bounds_do_not_depend_on_the_chunk_budget(monkeypatch):
+    # the index stream and each resample's mean are the same in any chunking
+    rng = np.random.default_rng(12)
+    n = 300
+    ids = [f"c{i}" for i in range(n)]
+    y = rng.normal(4, 15, n)
+    a = _cases(ids, y + rng.normal(0, 2, n), y)
+    b = _cases(ids, y + rng.normal(0, 3, n), y)
+
+    def bounds():
+        rep = compare(
+            a, b, squared_error(), SPLIT_AT_TEN,
+            ci="bootstrap", bootstrap_samples=700, seed=2,
+        )
+        return np.vstack([rep.ci_total, rep.ci_components]).tobytes()
+
+    default = bounds()  # every resample in one chunk
+    for budget in (1, 3 * 8 * 4 * n):  # chunks of 1 and of 3 resamples
+        monkeypatch.setattr(evaluation, "BOOTSTRAP_CHUNK_BYTES", budget)
+        assert bounds() == default
 
 
 def test_compare_components_present_with_partition():

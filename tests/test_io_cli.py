@@ -426,6 +426,28 @@ def test_cli_error_exit_codes(tmp_path, capsys):
         main(["frobnicate"])
 
 
+def test_cli_values_outside_the_domain_name_the_case(tmp_path, capsys):
+    part = tmp_path / "part.json"
+    part.write_text('{"domain": {"lower": 0, "upper": "inf"}, "cutpoints": [10]}')
+    (tmp_path / "cases.csv").write_text("case_id,forecast,obs\nc000041,1,2\nc000042,-1,2\n")
+    (tmp_path / "paired.csv").write_text(
+        "case_id,forecast_a,forecast_b,obs\nc000041,1,2,3\nc000042,2,1,-0.5\n"
+    )
+    (tmp_path / "ens.csv").write_text("case_id,obs,m1,m2\nc000041,1,1,2\nc000042,3,4,-2\n")
+    spec = ["--functional", "expectile", "--alpha", "0.5"]
+    for argv, message in (
+        (["score", *spec, "--input", "cases.csv"], "forecast -1.0"),
+        (["compare", *spec, "--input", "paired.csv"], "observation -0.5"),
+        (["crps", "--input", "ens.csv"], "cdf breakpoint -2.0"),
+    ):
+        argv = [*argv[:-1], str(tmp_path / argv[-1]), "--partition", str(part)]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: case c000042: {message} lies outside the domain [0.0, inf)\n"
+        )
+    assert not list(tmp_path.glob("out*"))
+
+
 def test_only_io_opens_files_or_imports_csv_and_json():
     # file formats are decided in veriscore.io alone
     hits = []

@@ -150,6 +150,25 @@ def test_custom_generator_probed_at_construction():
         )
 
 
+def test_custom_generator_total_matches_components_at_large_magnitude():
+    # without deriv_const the total is a quadrature of phi'' in coordinates
+    # local to y, the form its components use; phi(x) - phi(y) would cancel
+    gen = GeneratorSpec.custom_phi(
+        lambda t: 2.0 * np.square(np.asarray(t, dtype=float)),
+        lambda t: 4.0 * np.asarray(t, dtype=float),
+        lambda t: np.full_like(np.asarray(t, dtype=float), 4.0),
+    )
+    x, y = 1e9 + 1, 1e9
+    for spec, want in (
+        (ScoringSpec("expectile", gen, alpha=0.5), 1.0),
+        (ScoringSpec("huber_mean", gen, nu=0.5), 0.75),
+    ):
+        total = score(spec, x, y)
+        comps = score_components(decompose(spec, rectangular_partition([10])), x, y)
+        assert total == want
+        assert comps.tolist() == [0.0, want]
+
+
 def test_describe_echo():
     assert quantile_score(0.25).describe() == {
         "functional": "quantile",
