@@ -274,20 +274,12 @@ def _cmd_murphy(args, cfg) -> int:
 
 def _cmd_crps(args, cfg) -> int:
     partition = _load_partition(args, cfg)
-    rows = read_ensemble_csv(_require(_get(args, cfg, "input"), "input"))
+    ensembles = read_ensemble_csv(_require(_get(args, cfg, "input"), "input"))
     out = _require(_get(args, cfg, "out"), "out")
-    ids = [cid for cid, _, _ in rows]
-    totals = np.asarray([crps(cdf, obs) for cid, obs, cdf in rows])
-    comps = None
-    if partition is not None:
-        comps = []
-        for cid, obs, cdf in rows:
-            try:
-                comps.append(crps_components(cdf, obs, partition))
-            except (NumericError, ValidationError) as exc:
-                raise type(exc)(f"case {cid}: {exc}") from exc
-        comps = np.stack(comps).T
-    return _write_scores(out, ids, {"kind": "crps"}, partition, totals, comps)
+    y = ensembles.observations
+    totals = crps(ensembles, y)
+    comps = None if partition is None else crps_components(ensembles, y, partition)
+    return _write_scores(out, ensembles.ids, {"kind": "crps"}, partition, totals, comps)
 
 
 def _cmd_synth(args, cfg) -> int:

@@ -2,16 +2,28 @@
 
 The CRPS of a predictive CDF F at observation y is the integral of
 (F(z) - [y <= z])^2 over the real line.  For a step CDF with finitely
-many breakpoints the integrand is piecewise constant between the
+many breakpoints the integrand is constant between neighbouring
 breakpoints and y, and vanishes outside their hull, so the integral is
-a finite exact sum; no quadrature is involved.
+a finite exact sum over those segments (Hersbach, Wea. Forecasting
+2000); no quadrature is involved.
 
 Weighting the integrand by the members of a partition of unity splits
-the CRPS into per-region components that sum back to the total.  The
-region integrals of each weight are ``WeightFunction.integral``: exact
-for the piecewise-linear and arctan weight kinds, and for normalized
-weights one vectorized Gauss–Kronrod pass over all segments of a case
-(``veriscore.quadrature``).
+the CRPS into per-region components that sum back to the total
+(Gneiting & Ranjan, JBES 2011).  The region integrals of each weight
+are ``WeightFunction.integral``: exact for the piecewise-linear and
+arctan weight kinds, and for normalized weights one vectorized
+Gauss–Kronrod pass over all segments (``veriscore.quadrature``).
+
+``crps`` and ``crps_components`` score one ``EmpiricalCDF`` or an
+``EnsembleSet`` (n cases of m equally weighted members, as
+``read_ensemble_csv`` returns) with one batched kernel; a single CDF
+is one row of it.  Each row's points are sorted together with its
+observation once.  On a segment of nonzero width at position i,
+i + 1 - [y <= left] points lie at or below its left edge, which indexes
+the CDF level.  The total and each component are one dot product per
+row, over that row's segments alone, of the squared heights against
+the segment widths or the weight integrals.  Rows go through in blocks
+of ``CRPS_BLOCK_BYTES`` of edges, so memory stays bounded.
 
 A degenerate (single point) forecast distribution reduces the CRPS to
 the absolute error |x - y| exactly.
@@ -24,17 +36,20 @@ from __future__ import annotations
 import numpy as np
 
 from .decomposition import DecomposedScore
-from .errors import ValidationError
+from .errors import NumericError, ValidationError
 from .io import _read_table
 from .partition import PartitionOfUnity
 
 __all__ = [
     "EmpiricalCDF",
+    "EnsembleSet",
     "crps",
     "crps_components",
     "crps_decomposed",
     "read_ensemble_csv",
 ]
+
+CRPS_BLOCK_BYTES = 1 << 18  # edges in one block of rows: about 640 rows of 51
 
 
 class EmpiricalCDF:
@@ -93,47 +108,147 @@ class EmpiricalCDF:
         out = padded[idx]
         return float(out) if out.ndim == 0 else out
 
-    def _segments(self, y: float):
-        """Edges of the intervals on which (F - [y <= .])^2 is constant."""
-        return np.union1d(self.breakpoints, [y])
+
+class EnsembleSet:
+    """Ensemble forecasts of n cases: ``ids``, ``observations`` (n,)
+    and ``members`` (n, m).
+
+    Each row is the empirical CDF of its members, mass 1/m on each.
+    Indexing and iteration yield ``(case_id, obs, EmpiricalCDF)``, the
+    CDF built only when asked for; ``crps`` and ``crps_components``
+    score the whole set in one batched pass.
+    """
+
+    def __init__(self, ids, observations, members):
+        ids = tuple(str(i) for i in ids)
+        y = np.atleast_1d(np.asarray(observations, dtype=float))
+        x = np.asarray(members, dtype=float)
+        if y.ndim != 1 or x.ndim != 2 or x.shape[0] != y.size or len(ids) != y.size:
+            raise ValidationError(
+                "ids, observations and member rows must have equal length"
+            )
+        if y.size == 0 or x.shape[1] == 0:
+            raise ValidationError("an ensemble set needs a case and a member")
+        if not (np.all(np.isfinite(y)) and np.all(np.isfinite(x))):
+            raise ValidationError("observations and ensemble members must be finite")
+        if any(not i for i in ids):
+            raise ValidationError("case ids must be non-empty")
+        if len(set(ids)) != len(ids):
+            raise ValidationError("case ids must be unique")
+        self.ids = ids
+        self.observations = y
+        self.members = x
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i):
+        cdf = EmpiricalCDF.from_ensemble(self.members[i])
+        return self.ids[i], float(self.observations[i]), cdf
+
+    def __iter__(self):
+        for i in range(len(self)):
+            yield self[i]
 
 
-def crps(cdf: EmpiricalCDF, y: float) -> float:
-    """Exact CRPS of a step CDF at a finite observation."""
+def _kernel_args(cdf, y):
+    """(points, observations, levels, ids) of the kernel for either input.
+
+    ``levels[c]`` is the CDF at and above the c-th smallest of a row's
+    points; ``ids`` is None for a single CDF.
+    """
+    if isinstance(cdf, EnsembleSet):
+        y = np.asarray(y, dtype=float)
+        if y.shape != cdf.observations.shape:
+            raise ValidationError(
+                f"expected {len(cdf)} observations, got shape {y.shape}"
+            )
+        if not np.all(np.isfinite(y)):
+            raise ValidationError("observations must be finite")
+        m = cdf.members.shape[1]
+        return cdf.members, y, np.arange(m + 1) / m, cdf.ids
     y = float(y)
     if not np.isfinite(y):
         raise ValidationError("observation must be finite")
-    edges = cdf._segments(y)
-    if edges.size < 2:
-        return 0.0
-    left = edges[:-1]
-    heights = (cdf.evaluate(left) - (y <= left)) ** 2
-    return float(heights @ np.diff(edges))
+    levels = np.concatenate(([0.0], cdf.values))
+    return cdf.breakpoints[None, :], np.array([y]), levels, None
 
 
-def crps_components(
-    cdf: EmpiricalCDF, y: float, partition: PartitionOfUnity
-) -> np.ndarray:
-    """Per-region CRPS components under a partition of unity."""
-    y = float(y)
-    if not np.isfinite(y):
-        raise ValidationError("observation must be finite")
-    partition.domain.require(y, "observation")
-    partition.domain.require(cdf.breakpoints, "cdf breakpoint")
-    edges = cdf._segments(y)
-    if edges.size < 2:
-        return np.zeros(len(partition))
-    left, right = edges[:-1], edges[1:]
-    heights = (cdf.evaluate(left) - (y <= left)) ** 2
-    out = np.empty(len(partition))
-    for j, w in enumerate(partition):
-        out[j] = heights @ np.asarray(w.integral(left, right))
+def _require_domain(domain, points, y, ids) -> None:
+    """Name the first row outside the domain: its observation, else its
+    smallest offending point."""
+    ok = domain.contains(y) & domain.contains(points).all(axis=1)
+    if ok.all():
+        return
+    i = int(np.argmin(ok))
+    try:
+        domain.require(y[i], "observation")
+        domain.require(np.sort(points[i]), "cdf breakpoint")
+    except ValidationError as exc:
+        if ids is None:
+            raise
+        raise ValidationError(f"case {ids[i]}: {exc}") from None
+
+
+def _step_crps(points, y, levels, weights=(), ids=None) -> np.ndarray:
+    """(1 + k, n): each row's CRPS, then its component under each weight."""
+    n, m = points.shape
+    out = np.zeros((1 + len(weights), n))
+    step = max(1, CRPS_BLOCK_BYTES // (8 * (m + 1)))
+    for start in range(0, n, step):
+        yb = y[start : start + step]
+        edges = np.sort(np.column_stack([points[start : start + step], yb]), axis=1)
+        # segments of nonzero width, row by row
+        row, pos = np.nonzero(edges[:, 1:] > edges[:, :-1])
+        left, right = edges[row, pos], edges[row, pos + 1]
+        above = yb[row] <= left
+        heights = (levels[pos + 1 - above] - above) ** 2
+        measures = [right - left]
+        for w in weights:
+            try:
+                measures.append(np.asarray(w.integral(left, right), dtype=float))
+            except NumericError as exc:
+                if ids is None:
+                    raise
+                i = start + row[exc.index]
+                raise NumericError(f"case {ids[i]}: {exc}") from exc
+        # one dot product per row over its own segments, as a single case
+        # gets; rows with c segments form one (rows, c) matrix
+        count = np.bincount(row, minlength=yb.size)
+        first = np.cumsum(count) - count
+        for c in np.unique(count[count > 0]):
+            rows = np.flatnonzero(count == c)
+            take = first[rows, None] + np.arange(c)
+            h = heights[take]
+            for j, measure in enumerate(measures):
+                out[j, start + rows] = np.vecdot(h, measure[take])
     return out
 
 
-def crps_decomposed(
-    cdf: EmpiricalCDF, y: float, partition: PartitionOfUnity
-) -> DecomposedScore:
+def crps(cdf, y):
+    """Exact CRPS of a step CDF at a finite observation.
+
+    One ``EmpiricalCDF`` and a scalar y give a float; an ``EnsembleSet``
+    and its (n,) observations give (n,) scores.
+    """
+    points, y, levels, _ = _kernel_args(cdf, y)
+    total = _step_crps(points, y, levels)[0]
+    return total if isinstance(cdf, EnsembleSet) else float(total[0])
+
+
+def crps_components(cdf, y, partition: PartitionOfUnity) -> np.ndarray:
+    """Per-region CRPS components under a partition of unity.
+
+    (k,) for one ``EmpiricalCDF``, (k, n) for an ``EnsembleSet``, as
+    ``score_components`` returns.  Errors of a set name the case id.
+    """
+    points, y, levels, ids = _kernel_args(cdf, y)
+    _require_domain(partition.domain, points, y, ids)
+    comps = _step_crps(points, y, levels, tuple(partition), ids)[1:]
+    return comps if isinstance(cdf, EnsembleSet) else comps[:, 0]
+
+
+def crps_decomposed(cdf, y, partition: PartitionOfUnity) -> DecomposedScore:
     """Components plus the directly integrated total."""
     return DecomposedScore(
         per_component=crps_components(cdf, y, partition),
@@ -141,10 +256,7 @@ def crps_decomposed(
     )
 
 
-def read_ensemble_csv(path) -> list[tuple[str, float, EmpiricalCDF]]:
+def read_ensemble_csv(path) -> EnsembleSet:
     """Read forecast cases with ensemble members (schema in ``veriscore.io``)."""
     ids, values = _read_table(path, ["case_id", "obs"], members=True)
-    return [
-        (case_id, float(row[0]), EmpiricalCDF.from_ensemble(row[1:]))
-        for case_id, row in zip(ids, values)
-    ]
+    return EnsembleSet(ids, values[:, 0], values[:, 1:])

@@ -24,8 +24,11 @@ Ensemble (``veriscore.crps.read_ensemble_csv``)::
 
     case_id, obs, m1, ..., mk
 
-One forecast case per row; each row becomes an empirical CDF with
-jumps of size 1/k at the sorted member values.
+One forecast case per row, read into an ``EnsembleSet``: the ids, the
+observations (n,) and the members (n, k).  Each row stands for the
+empirical CDF with jumps of size 1/k at the member values; the CRPS
+kernel scores all rows at once and builds an ``EmpiricalCDF`` only for
+a row that is asked for.
 
 All three share one reader: the header must match exactly (a UTF-8
 byte order mark is ignored), blank lines are skipped, case ids must be

@@ -1,10 +1,18 @@
 """CRPS exactness, decomposition additivity, and ensemble input."""
 
+import hashlib
+import importlib
+import math
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from veriscore import (
     EmpiricalCDF,
+    EnsembleSet,
+    IntervalDomain,
     RectangularWeight,
     ValidationError,
     arctan_pair,
@@ -15,6 +23,9 @@ from veriscore import (
     rectangular_partition,
     trapezoidal_partition,
 )
+
+# the package's `crps` attribute is the function, so fetch the module itself
+CRPS_MODULE = importlib.import_module("veriscore.crps")
 
 
 def test_two_point_hand_value():
@@ -162,3 +173,215 @@ def test_read_ensemble_csv_errors(tmp_path):
         read_ensemble_csv(p)
     with pytest.raises(ValidationError, match="cannot read"):
         read_ensemble_csv(tmp_path / "missing.csv")
+
+
+def _exact(members, y, cutpoints):
+    """Step-CDF CRPS and its rectangular-cell components, in rationals."""
+    m = len(members)
+    edges = sorted(set(members) | {y})
+    cells = [None, *map(Fraction, cutpoints), None]
+    total, comps = Fraction(0), [Fraction(0)] * (len(cells) - 1)
+    for left, right in zip(edges, edges[1:]):
+        below = Fraction(sum(x <= left for x in members), m)
+        height = (below - (y <= left)) ** 2
+        lo, hi = Fraction(left), Fraction(right)
+        total += height * (hi - lo)
+        for j, (a, b) in enumerate(zip(cells, cells[1:])):
+            a = lo if a is None else max(lo, a)
+            b = hi if b is None else min(hi, b)
+            if b > a:
+                comps[j] += height * (b - a)
+    return total, comps
+
+
+def _energy(members, y):
+    # E|X - y| - E|X - X'| / 2 over the ensemble, in rationals
+    xs, y, m = [Fraction(x) for x in members], Fraction(y), len(members)
+    spread = sum(abs(a - b) for a in xs for b in xs)
+    return sum(abs(x - y) for x in xs) / m - spread / (2 * m * m)
+
+
+def _oracle_batches():
+    rng = np.random.default_rng(41)
+    n = 40
+    # ties: members on a 0.1 grid; every fifth observation equals a member
+    tied = np.round(rng.normal(0.0, 3.0, (n, 12)), 1)
+    y_tied = rng.normal(0.0, 3.5, n)
+    y_tied[::5] = tied[::5, 2]
+    tied[3] = [1.1, 1.1, 2.3, 2.3, 2.3, -0.7, -0.7, 1.1, 0.4, 0.4, 0.4, 0.4]
+    # single members: the CRPS is |x - y|
+    single = rng.normal(0.0, 4.0, (n, 1))
+    y_single = rng.normal(0.0, 4.0, n)
+    y_single[0] = single[0, 0]
+    # |y| up to 1e12, members a few units away
+    big = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(3, 12, n)
+    far = big[:, None] + np.round(rng.normal(0.0, 2.0, (n, 7)), 2)
+    y_far = big + rng.normal(0.0, 2.0, n)
+    return [(tied, y_tied), (single, y_single), (far, y_far)]
+
+
+CELLS = [-4.0, 0.0, 2.5, 1e6]
+
+
+def test_kernel_matches_exact_oracle():
+    partition = rectangular_partition(CELLS)
+    for members, y in _oracle_batches():
+        ens = EnsembleSet([f"c{i}" for i in range(y.size)], y, members)
+        totals = crps(ens, y)
+        comps = crps_components(ens, y, partition)
+        assert totals.shape == y.shape and comps.shape == (len(CELLS) + 1, y.size)
+        for i in range(y.size):
+            row = members[i].tolist()
+            total, exact = _exact(row, float(y[i]), CELLS)
+            assert total == _energy(row, float(y[i]))
+            for got, want in ((totals[i], total), *zip(comps[:, i], exact)):
+                err = abs(Fraction(float(got)) - want)
+                assert err <= Fraction(1e-9) * max(1, abs(want)), (i, got, want)
+                if want == 0:
+                    assert got == 0.0 and math.copysign(1.0, got) == 1.0
+            if members.shape[1] == 1:
+                assert totals[i] == abs(members[i, 0] - y[i])
+    # the off-support cells are exercised: most rows touch one or two cells
+    assert np.count_nonzero(comps == 0.0) > comps.size // 2
+
+
+def _loop(members, y, partition):
+    # the per-case form the kernel replaced: one dot product per case over
+    # the distinct edges; the arithmetic is the same, so the results are too
+    cdf = EmpiricalCDF.from_ensemble(members)
+    edges = np.union1d(cdf.breakpoints, [y])
+    left, right = edges[:-1], edges[1:]
+    heights = (cdf.evaluate(left) - (y <= left)) ** 2
+    comps = [heights @ np.asarray(w.integral(left, right)) for w in partition]
+    return heights @ (right - left), np.array(comps)
+
+
+def test_results_do_not_depend_on_the_block_budget(monkeypatch):
+    # each row's dot products run over its own segments only; 20 members
+    # on a grid of 0.3 leave rows of 9 to 20 segments
+    rng = np.random.default_rng(5)
+    n, m = 200, 20
+    members = np.round(rng.normal(0.0, 3.0, (n, m)) / 0.3) * 0.3
+    y = np.round(rng.normal(0.0, 3.0, n) / 0.3) * 0.3
+    ens = EnsembleSet([f"c{i}" for i in range(n)], y, members)
+    partition = arctan_pair(0.5)
+
+    def results():
+        return crps(ens, y).tobytes(), crps_components(ens, y, partition).tobytes()
+
+    default = results()  # every row in one block
+    for rows in (1, 3):
+        monkeypatch.setattr(CRPS_MODULE, "CRPS_BLOCK_BYTES", 8 * (m + 1) * rows)
+        assert results() == default
+    totals = crps(ens, y)
+    comps = crps_components(ens, y, partition)
+    for i, (_, obs, cdf) in enumerate(ens):
+        assert crps(cdf, obs) == totals[i]
+        assert crps_components(cdf, obs, partition).tobytes() == comps[:, i].tobytes()
+        total, parts = _loop(members[i], obs, partition)
+        assert total == totals[i] and parts.tobytes() == comps[:, i].tobytes()
+
+
+def test_components_memory_is_bounded():
+    rng = np.random.default_rng(6)
+    n, m = 20_000, 50
+    y = rng.normal(0.0, 5.0, n)
+    ens = EnsembleSet([f"c{i}" for i in range(n)], y, y[:, None] + rng.normal(0, 2, (n, m)))
+    partition = rectangular_partition([-2.0, 0.0, 2.0])
+    tracemalloc.start()
+    try:
+        comps = crps_components(ens, y, partition)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert comps.shape == (4, n)
+    assert peak < 32 * 2**20  # unblocked, the segment arrays alone pass 100 MB
+
+
+def test_ensemble_set_rows_and_checks():
+    ens = EnsembleSet(["a", "b"], [1.0, 0.25], [[0.0, 2.0, 2.0], [1.0, 1.0, 1.0]])
+    assert len(ens) == 2 and ens.members.shape == (2, 3)
+    case_id, obs, cdf = ens[-1]
+    assert (case_id, obs) == ("b", 0.25)
+    np.testing.assert_array_equal(cdf.breakpoints, [1.0])
+    assert [r[0] for r in ens] == ["a", "b"]
+    np.testing.assert_array_equal(crps(ens, ens.observations), [0.5 + 1.0 / 18, 0.75])
+    with pytest.raises(ValidationError, match="equal length"):
+        EnsembleSet(["a"], [1.0, 2.0], [[1.0], [2.0]])
+    with pytest.raises(ValidationError, match="finite"):
+        EnsembleSet(["a"], [1.0], [[np.nan]])
+    with pytest.raises(ValidationError, match="unique"):
+        EnsembleSet(["a", "a"], [1.0, 2.0], [[1.0], [2.0]])
+    with pytest.raises(ValidationError, match="a case and a member"):
+        EnsembleSet(["a"], [1.0], np.empty((1, 0)))
+    with pytest.raises(ValidationError, match="expected 2 observations"):
+        crps(ens, [1.0])
+    with pytest.raises(ValidationError, match="finite"):
+        crps(ens, [1.0, np.inf])
+
+
+def test_domain_errors_name_the_first_case_in_row_order():
+    partition = rectangular_partition([1.0], domain=IntervalDomain(0.0, 10.0))
+    members = [[1.0, 2.0], [-1.0, -3.0], [-2.0, 4.0], [3.0, 4.0]]
+    y = [1.0, 2.0, -1.0, 12.0]
+    ens = EnsembleSet(["ok", "low", "both", "high"], y, members)
+    # the smallest offending member of the first offending case
+    with pytest.raises(ValidationError, match=r"^case low: cdf breakpoint -3\.0 lies"):
+        crps_components(ens, ens.observations, partition)
+    # within a case the observation comes first
+    ens = EnsembleSet(["both", "high"], y[2:], members[2:])
+    with pytest.raises(ValidationError, match=r"^case both: observation -1\.0 lies"):
+        crps_components(ens, ens.observations, partition)
+
+
+def test_cli_domain_errors_name_the_first_case(tmp_path, capsys):
+    from veriscore.cli import main
+
+    part = tmp_path / "part.json"
+    part.write_text('{"domain": {"lower": 0, "upper": "inf"}, "cutpoints": [10]}')
+    ens = tmp_path / "ens.csv"
+    for rows, message in (
+        ("ok,1,1,2\nlow,3,-1,-3\nboth,-1,-2,4\n", "case low: cdf breakpoint -3.0"),
+        ("ok,1,1,2\nboth,-1,-2,4\nlow,3,-1,-3\n", "case both: observation -1.0"),
+    ):
+        ens.write_text("case_id,obs,m1,m2\n" + rows)
+        argv = ["crps", "--input", str(ens), "--partition", str(part)]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {message} lies outside the domain [0.0, inf)\n"
+        )
+    assert not list(tmp_path.glob("out*"))
+
+
+def _tied_ensemble_csv(path):
+    # 300 cases of 20 members on a 0.1 grid (ties in most rows); every
+    # seventh observation equals a member
+    rng = np.random.default_rng(20260)
+    members = np.round(rng.normal(0.0, 3.0, (300, 20)), 1)
+    obs = rng.normal(0.0, 3.5, 300)
+    obs[::7] = members[::7, 3]
+    lines = ["case_id,obs," + ",".join(f"m{k}" for k in range(1, 21))]
+    for i in range(300):
+        cells = [repr(float(v)) for v in (obs[i], *members[i])]
+        lines.append(f"c{i:03d}," + ",".join(cells))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_cli_crps_output_bytes_are_pinned(tmp_path):
+    # digests of the output of the earlier per-case loop: a change to the
+    # kernel's arithmetic that moves any 12-digit cell fails here
+    from veriscore.cli import main
+
+    _tied_ensemble_csv(tmp_path / "ens.csv")
+    (tmp_path / "part.json").write_text('{"cutpoints": [-2.5, 0, 2.5]}')
+    argv = ["crps", "--input", str(tmp_path / "ens.csv")]
+    argv += ["--partition", str(tmp_path / "part.json"), "--out", str(tmp_path / "c")]
+    assert main(argv) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / f"c.{name}").read_bytes()).hexdigest()
+        for name in ("cases.csv", "summary.json")
+    }
+    assert digests == {
+        "cases.csv": "b4749f14a2f5ac97afe7538703155258345780b0baa2d7be0f54eeb1026dab96",
+        "summary.json": "06243fc9f5620c7db2b75abd7c08a44385fd8c5a7a2bd8dded36fab822ff91db",
+    }
