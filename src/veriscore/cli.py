@@ -102,6 +102,11 @@ def _get_int(args, cfg, key, default=None):
         raise ValidationError(f"{key} must be an integer, got {value!r}") from None
 
 
+def _given(**values) -> dict:
+    """The values a flag or the config set; the library's defaults fill the rest."""
+    return {key: value for key, value in values.items() if value is not None}
+
+
 def _require(value, flag: str):
     if value is None:
         raise ValidationError(
@@ -223,10 +228,12 @@ def _cmd_compare(args, cfg) -> int:
         cases_b,
         spec,
         partition,
-        ci=_get(args, cfg, "ci", "normal"),
-        bootstrap_samples=_get_int(args, cfg, "bootstrap_samples", 10000),
-        seed=_get_int(args, cfg, "seed", 0),
         labels=_parse_labels(_get(args, cfg, "labels")),
+        **_given(
+            ci=_get(args, cfg, "ci"),
+            bootstrap_samples=_get_int(args, cfg, "bootstrap_samples"),
+            seed=_get_int(args, cfg, "seed"),
+        ),
     )
     write_json(report.to_dict(), f"{out}.report.json")
     for line in report.summary_lines():
@@ -319,13 +326,15 @@ def _cmd_synth(args, cfg) -> int:
 def _cmd_hedge(args, cfg) -> int:
     report = simulate_hedging(
         _require(_get_int(args, cfg, "option"), "option"),
-        n=_get_int(args, cfg, "n", 8000),
-        seed=_get_int(args, cfg, "seed", 0),
-        threshold=_get_float(args, cfg, "threshold", 20.0),
-        mu_mean=_get_float(args, cfg, "mu_mean", 1.5),
-        mu_sd=_get_float(args, cfg, "mu_sd", 1.0),
-        log_sd=_get_float(args, cfg, "log_sd", 0.4),
-        rival_sd=_get_float(args, cfg, "rival_sd", 0.35),
+        **_given(
+            n=_get_int(args, cfg, "n"),
+            seed=_get_int(args, cfg, "seed"),
+            threshold=_get_float(args, cfg, "threshold"),
+            mu_mean=_get_float(args, cfg, "mu_mean"),
+            mu_sd=_get_float(args, cfg, "mu_sd"),
+            log_sd=_get_float(args, cfg, "log_sd"),
+            rival_sd=_get_float(args, cfg, "rival_sd"),
+        ),
     )
     out = _require(_get(args, cfg, "out"), "out")
     write_json(report.to_dict(), f"{out}.hedge.json")

@@ -32,20 +32,20 @@ integrals signed and taken from y:
 and the anchored generators are such integrals over [u_j, u] centred
 at u.  ``RegionGenerator`` therefore needs one moment provider: the
 signed integral of rho_j(t) * (t - y)**k, k = 0 or 1, between offsets
-from y.  When the weight has exact moments and the generator's
-relevant derivative is a constant c (``deriv_const``, all built-in
-generators), the provider is c times ``WeightFunction.moments``, taken
-in coordinates local to y: exact to rounding at any magnitude, and
-exactly zero for forecast and observation on the same side outside the
-weight's support.
+from y, chosen once from its inputs.  When the weight has exact
+moments and the generator's density is a constant c (``deriv_const``,
+all built-in generators), the provider is c times
+``WeightFunction.moment``, taken in coordinates local to y: exact to
+rounding at any magnitude, and exactly zero for forecast and
+observation on the same side outside the weight's support.
 
 Otherwise the provider is :func:`veriscore.quadrature.gauss_kronrod`
-of rho_j(y + u) * u**k over u, for all cases at once, with panels cut at
-the weight's knots; the Huber split at k is an endpoint.  A panel is
-refined until its error estimate meets max(``quad_tol``, 1e-10 * |value|)
-(``quad_tol`` defaults to 1e-10); a result whose error estimate still
-exceeds 1e-7 * max(1, |value|) raises :class:`NumericError` naming the
-failing element.
+of rho_j(y + u) * u**k over u, with rho_j = ``GeneratorSpec.density``
+times the weight, for all cases at once, with panels cut at the
+weight's knots; the Huber split at k is an endpoint.  A panel is
+refined until its error estimate meets max(1e-10, 1e-10 * |value|); a
+result whose error estimate still exceeds 1e-7 * max(1, |value|)
+raises :class:`NumericError` naming the failing element.
 """
 
 from __future__ import annotations
@@ -57,12 +57,11 @@ import numpy as np
 
 from .errors import ValidationError
 from .partition import PartitionOfUnity, WeightFunction
-from .quadrature import TOL, gauss_kronrod
+from .quadrature import gauss_kronrod
 from .scoring import ScoringSpec, moment_score, score
 
 __all__ = [
     "RegionGenerator",
-    "ClosedFormInfo",
     "DecomposedScore",
     "region_generator",
     "decompose",
@@ -73,16 +72,6 @@ __all__ = [
 def _scalar_or_array(out):
     out = np.asarray(out)
     return float(out) if out.ndim == 0 else out
-
-
-@dataclass(frozen=True)
-class ClosedFormInfo:
-    """Description of an exact component evaluation path."""
-
-    weight_kind: str
-    deriv_const: float
-    knots: tuple[float, ...]
-    anchor: float
 
 
 @dataclass(frozen=True)
@@ -114,6 +103,7 @@ class RegionGenerator:
     ``value(u)`` is g_j(u) or phi_j(u) anchored at ``anchor``;
     ``derivative(u)`` is phi_j'(u) for phi-family bases.  Scoring goes
     through anchor-free difference forms (see module docstring).
+    ``has_closed_form`` tells which moment provider was chosen.
     """
 
     def __init__(
@@ -122,7 +112,6 @@ class RegionGenerator:
         weight: WeightFunction,
         *,
         anchor: float | None = None,
-        quad_tol: float = TOL,
     ):
         if not isinstance(spec, ScoringSpec):
             raise ValidationError("spec must be a ScoringSpec")
@@ -133,44 +122,20 @@ class RegionGenerator:
         self.anchor = float(anchor) if anchor is not None else _default_anchor(weight)
         if not math.isfinite(self.anchor):
             raise ValidationError("anchor must be finite")
-        self.quad_tol = float(quad_tol)
-        self._closed = (
-            weight.has_exact_integrals and spec.generator.deriv_const is not None
-        )
-        self._moment = self._exact_moment if self._closed else self._quad_moment
-
-    @property
-    def has_closed_form(self) -> bool:
-        return self._closed
-
-    @property
-    def closed_form(self) -> ClosedFormInfo | None:
-        if not self.has_closed_form:
-            return None
-        return ClosedFormInfo(
-            weight_kind=self.weight.kind,
-            deriv_const=float(self.spec.generator.deriv_const),
-            knots=self.weight.finite_knots(),
-            anchor=self.anchor,
-        )
-
-    # -- moments of the weighted derivative of the base generator ----------
-    #
-    # _moment(k, p, q, y) is the signed integral of rho_j(t) * (t - y)**k
-    # over t from y + p to y + q, for k = 0 or 1.
-
-    def _exact_moment(self, k, p, q, y):
-        c = self.spec.generator.deriv_const
-        return c * self.weight._local_moments(p, q, y)[k]
-
-    def _quad_moment(self, k, p, q, y):
-        knots = self.weight.finite_knots()
-        return gauss_kronrod(self._density, p, q, y, k, knots, self.quad_tol)
+        # _moment(k, p, q, y) is the signed integral of rho_j(t) * (t - y)**k
+        # over t from y + p to y + q, for k = 0 or 1
+        c = spec.generator.deriv_const
+        self.has_closed_form = weight.has_exact_integrals and c is not None
+        if self.has_closed_form:
+            self._moment = lambda k, p, q, y: c * weight.moment(k, p, q, y)
+        else:
+            knots = weight.finite_knots()
+            self._moment = lambda k, p, q, y: gauss_kronrod(
+                self._density, p, q, y, k, knots
+            )
 
     def _density(self, t):
-        gen = self.spec.generator
-        d = gen.derivative(t) if gen.family == "g" else gen.second_derivative(t)
-        return np.asarray(d, dtype=float) * self.weight(t)
+        return np.asarray(self.spec.generator.density(t), dtype=float) * self.weight(t)
 
     # -- anchored pointwise evaluation -------------------------------------
 
@@ -211,10 +176,9 @@ def region_generator(
     weight: WeightFunction,
     *,
     anchor: float | None = None,
-    quad_tol: float = TOL,
 ) -> RegionGenerator:
     """Build the component generator for a single weight."""
-    return RegionGenerator(spec, weight, anchor=anchor, quad_tol=quad_tol)
+    return RegionGenerator(spec, weight, anchor=anchor)
 
 
 def decompose(
@@ -222,7 +186,6 @@ def decompose(
     partition: PartitionOfUnity,
     *,
     anchors=None,
-    quad_tol: float = TOL,
 ) -> tuple[RegionGenerator, ...]:
     """Component generators for every weight of a partition.
 
@@ -238,8 +201,7 @@ def decompose(
             f"got {len(anchors)} anchors for {len(partition)} weights"
         )
     return tuple(
-        RegionGenerator(spec, w, anchor=a, quad_tol=quad_tol)
-        for w, a in zip(partition, anchors)
+        RegionGenerator(spec, w, anchor=a) for w, a in zip(partition, anchors)
     )
 
 

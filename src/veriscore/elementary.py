@@ -166,12 +166,15 @@ def _resolve_grid(grid, x_all: np.ndarray, y_all: np.ndarray) -> np.ndarray:
         span = hi - lo
         pad = 0.05 * span if span > 0 else 1.0
         return np.linspace(lo - pad, hi + pad, n)
-    arr = np.asarray(grid, dtype=float)
-    if arr.ndim == 1 and arr.size == 3 and arr[2] == round(arr[2]) and arr[2] >= 2:
-        lo, hi, n = float(arr[0]), float(arr[1]), int(arr[2])
+    if isinstance(grid, tuple) and len(grid) == 3:
+        # only a tuple is the range form; a list or an array is the grid itself
+        lo, hi, n = (float(v) for v in grid)
         if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
             raise ValidationError(f"bad threshold range ({lo}, {hi})")
-        return np.linspace(lo, hi, n)
+        if not (n.is_integer() and n >= 2):
+            raise ValidationError(f"threshold range needs an integer n >= 2, got {n}")
+        return np.linspace(lo, hi, int(n))
+    arr = np.asarray(grid, dtype=float)
     if arr.ndim == 1 and arr.size >= 2 and np.all(np.isfinite(arr)):
         if not np.all(np.diff(arr) > 0):
             raise ValidationError("explicit threshold grid must be strictly ascending")
@@ -298,7 +301,7 @@ def murphy_curve(
     (name, cases) pairs, where cases is anything ``_as_xy`` accepts.
     ``grid`` defaults to 501 thresholds spanning all forecasts and
     observations with 5 percent padding; an int changes the count, a
-    (lo, hi, n) triple or an ascending array fixes it exactly.
+    (lo, hi, n) tuple or an ascending list or array fixes it exactly.
 
     The means come from an exact sweep (see the module docstring):
     O((n + T) log n) time and O(n + T) memory, each mean correctly
@@ -438,11 +441,7 @@ def verify_mixture(
     if x == y:
         return MixtureCheck(direct=direct, mixture=0.0)
 
-    gen = spec.generator
-    if spec.functional == "quantile":
-        density = gen.derivative
-    else:
-        density = gen.second_derivative
+    density = spec.generator.density
 
     # Between min(x, y) and max(x, y) the elementary score equals one
     # smooth closed form (its interior limit), so the integrand is only

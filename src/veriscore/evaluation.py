@@ -72,10 +72,12 @@ def stream_rng(seed: int, group: str, name: str) -> np.random.Generator:
         raise ValidationError(
             f"unknown stream {group!r}/{name!r}; see STREAMS"
         ) from None
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
 
 
-def case_scores(spec: ScoringSpec, cases: CaseSet, partition=None, *, quad_tol=None):
+def case_scores(spec: ScoringSpec, cases: CaseSet, partition=None):
     """Per-case total scores and, with a partition, their components.
 
     Returns (totals, components) where totals has one entry per case
@@ -90,8 +92,7 @@ def case_scores(spec: ScoringSpec, cases: CaseSet, partition=None, *, quad_tol=N
             return totals, None
         partition.domain.require(x, "forecast", cases.ids)
         partition.domain.require(y, "observation", cases.ids)
-        kwargs = {} if quad_tol is None else {"quad_tol": quad_tol}
-        comps = score_components(decompose(spec, partition, **kwargs), x, y)
+        comps = score_components(decompose(spec, partition), x, y)
     except NumericError as exc:
         raise NumericError(f"case {cases.ids[exc.index]}: {exc}") from exc
     return totals, comps

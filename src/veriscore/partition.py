@@ -22,14 +22,26 @@ The rectangular, trapezoidal and tabulated kinds are one class,
 between neighbours and a constant beyond each end.
 ``RectangularWeight``, ``TrapezoidalWeight`` and ``TabulatedWeight``
 are named constructors that validate their parameters and build that
-table.  Every score component needs only two integrals of a weight,
-which ``WeightFunction.moments(lo, hi, y)`` returns exactly: the
-integral of chi and of (t - y) * chi over [lo, hi].  The table
-integrates each linear segment in coordinates local to y, so the
-moments are exact to rounding at any magnitude.  The arctan pair has
-exact moments as well.  Normalized and custom weights get theirs from
-:func:`veriscore.quadrature.gauss_kronrod`, vectorized over all
-intervals at once and cut at ``finite_knots()``.
+table.
+
+Moments
+-------
+Every score component and every CRPS component is a mixture over the
+weight, so a weight offers one integral, its moment::
+
+    WeightFunction.moment(k, p, q, y)
+        = signed integral of chi(y + u) * u**k for u from p to q,
+
+for k = 0 or 1, elementwise over broadcast p, q and y.  The limits
+are offsets from the centre y, so the moment is taken in coordinates
+local to y and no term of order y**2 is ever formed.  This is the
+convention of :func:`veriscore.quadrature.gauss_kronrod` and of
+:func:`veriscore.scoring.moment_score`.  A call forms only the moment
+it is asked for.  The table integrates each linear segment about its
+midpoint, so its moments are exact to rounding at any magnitude; the
+arctan pair has exact moments as well.  Normalized and custom weights
+get theirs from ``gauss_kronrod``, vectorized over all intervals at
+once and cut at ``finite_knots()``.
 
 Configuration files
 -------------------
@@ -85,7 +97,6 @@ __all__ = [
     "normalized_partition",
     "arctan_pair",
     "validate_partition",
-    "eval_weight",
     "parse_partition_config",
     "load_partition_config",
     "partition_config",
@@ -153,10 +164,6 @@ class IntervalDomain:
 REAL_LINE = IntervalDomain()
 
 
-def _finite(x) -> bool:
-    return math.isfinite(x)
-
-
 def _as_float(x, field: str) -> float:
     try:
         v = float(x)
@@ -183,14 +190,12 @@ class WeightFunction:
     ``config()`` echoes.  A subclass that builds no table keeps
     ``bounds = None`` and implements ``__call__`` (and ``support`` where
     it is narrower than the real line).  It has no exact moments, so its
-    ``moments`` and the scores built on it come from quadrature, and no
-    ``config()`` form, unless it supplies its own ``_local_moments`` and
+    ``moment`` and the scores built on it come from quadrature, and no
+    ``config()`` form, unless it supplies its own ``moment`` and
     ``config``, as the arctan pair does.
 
-    ``moments(lo, hi, y)`` integrates the weight and (t - y) times the
-    weight over [lo, hi] segment by segment, in coordinates local to y,
-    so no term of order y**2 is formed and the result is exact to
-    rounding at any magnitude.  A segment where the weight is zero adds
+    ``moment(k, p, q, y)`` (see the module docstring) integrates the
+    table segment by segment.  A segment where the weight is zero adds
     exactly 0.0, so score components built on these moments vanish
     exactly, not merely to rounding, outside the support of their weight.
     """
@@ -259,29 +264,15 @@ class WeightFunction:
             out = out + self._slope0[idx] * s
         return out
 
-    def moments(self, lo, hi, y):
-        """Signed ``(integral of chi, integral of (t - y) * chi)`` from lo to hi.
-
-        Vectorized over broadcast lo, hi and y.  The integrals are taken
-        in coordinates local to y (see ``_local_moments``), so those of a
-        table stay exact to rounding at any magnitude of y.
-        """
-        y = np.asarray(y, dtype=float)
-        return self._local_moments(
-            np.asarray(lo, dtype=float) - y, np.asarray(hi, dtype=float) - y, y
-        )
-
-    def _local_moments(self, p, q, y):
-        # moments over t in [y + p, y + q], t - y = u
+    def moment(self, k, p, q, y):
+        """Signed integral of chi(y + u) * u**k for u from p to q, k = 0 or 1."""
         if self.bounds is None:
-            # no table: adaptive quadrature of chi(y + u) * u**k
-            knots = self.finite_knots()
-            return tuple(gauss_kronrod(self, p, q, y, k, knots) for k in (0, 1))
+            # no table: adaptive quadrature
+            return gauss_kronrod(self, p, q, y, k, self.finite_knots())
         # every segment, extensions included, is clipped to [p, q] in u and
         # integrated about its clipped midpoint cm, where chi = vm + slope * (u - cm)
         p, q, y = np.broadcast_arrays(p, q, y)
-        m0 = np.zeros(p.shape)
-        m1 = np.zeros(p.shape)
+        out = np.zeros(p.shape)
         segments = zip(self._value0, self._slope0, self._edges[:-1], self._edges[1:])
         for v0, s, lo, hi in segments:
             if v0 == 0.0 and s == 0.0:
@@ -292,13 +283,15 @@ class WeightFunction:
             h = b - a
             cm = 0.5 * (a + b)
             vm = v0 + s * (cm - lo) if s else v0
-            m0 += h * vm
-            m1 += h * (vm * cm + s * h * h / 12.0) if s else h * vm * cm
-        return m0, m1
+            if k == 0:
+                out += h * vm
+            else:
+                out += h * (vm * cm + s * h * h / 12.0) if s else h * vm * cm
+        return out
 
     def integral(self, lo, hi):
         """Signed integral of the weight itself between lo and hi."""
-        return self.moments(lo, hi, lo)[0]
+        return self.moment(0, 0.0, np.subtract(hi, lo), lo)
 
 
 def _trapezoid_table(a, b, c, d):
@@ -306,7 +299,7 @@ def _trapezoid_table(a, b, c, d):
     pieces = []  # (lo, hi, start_value, slope); ramps have finite ends
     if a < b:
         pieces.append((a, b, 0.0, 1.0 / (b - a)))
-    if _finite(b) and _finite(c) and b < c:
+    if math.isfinite(b) and math.isfinite(c) and b < c:
         pieces.append((b, c, 1.0, 0.0))
     if c < d:
         pieces.append((c, d, 1.0, -1.0 / (d - c)))
@@ -314,10 +307,11 @@ def _trapezoid_table(a, b, c, d):
         bounds = [p[0] for p in pieces] + [pieces[-1][1]]
     else:
         # a single jump at the one finite edge, or the constant one
-        bounds = [v for v in (a, d) if _finite(v)]
+        bounds = [v for v in (a, d) if math.isfinite(v)]
     start = [p[2] for p in pieces]
     slope = [p[3] for p in pieces]
-    return bounds, start, slope, float(not _finite(a)), float(not _finite(d))
+    left, right = float(not math.isfinite(a)), float(not math.isfinite(d))
+    return bounds, start, slope, left, right
 
 
 class RectangularWeight(WeightFunction):
@@ -354,13 +348,15 @@ class TrapezoidalWeight(WeightFunction):
             raise ValidationError(
                 f"trapezoidal weight needs a <= b <= c <= d, got {(a, b, c, d)}"
             )
-        if not _finite(a) and (a != b or a != -_INF):
+        if not math.isfinite(a) and (a != b or a != -_INF):
             raise ValidationError("an infinite left edge requires a = b = -inf")
-        if not _finite(d) and (c != d or d != _INF):
+        if not math.isfinite(d) and (c != d or d != _INF):
             raise ValidationError("an infinite right edge requires c = d = +inf")
         if a == d:
             raise ValidationError("trapezoidal weight has empty support (a == d)")
-        if (_finite(a) and not _finite(b)) or (_finite(d) and not _finite(c)):
+        if (math.isfinite(a) and not math.isfinite(b)) or (
+            math.isfinite(d) and not math.isfinite(c)
+        ):
             raise ValidationError(
                 f"trapezoidal weight {(a, b, c, d)} has a ramp of infinite length"
             )
@@ -411,8 +407,8 @@ def _arctan_primitive2(s):
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
-def _arctan_upper_moments(p, q, sigma):
-    # moments of 1/2 + arctan(s)/pi, s = sigma + u, over u in [p, q]: an
+def _arctan_upper_moment(k, p, q, sigma):
+    # k-th moment of 1/2 + arctan(s)/pi, s = sigma + u, over u in [p, q]: an
     # 8-point Gauss-Legendre rule when the span is small against its
     # distance from s = 0 (the weight is then nearly linear on it, and the
     # primitives would cancel), the difference of primitives otherwise
@@ -424,13 +420,13 @@ def _arctan_upper_moments(p, q, sigma):
     # arctan2(1, -s) / pi is the upper weight without cancellation in its tail
     f = _GL_WEIGHTS * np.arctan2(1.0, -(sigma[..., None] + u)) / np.pi
     a1, b1 = _arctan_primitive(sa), _arctan_primitive(sb)
-    m0 = np.where(near, half * f.sum(-1), b1 - a1)
-    m1 = np.where(
+    if k == 0:
+        return np.where(near, half * f.sum(-1), b1 - a1)
+    return np.where(
         near,
         half * (f * u).sum(-1),
         q * b1 - p * a1 - (_arctan_primitive2(sb) - _arctan_primitive2(sa)),
     )
-    return m0, m1
 
 
 class _ArctanWeight(WeightFunction):
@@ -441,21 +437,21 @@ class _ArctanWeight(WeightFunction):
 
     def __init__(self, center):
         c = _as_float(center, f"{self.kind}.center")
-        if not _finite(c):
+        if not math.isfinite(c):
             raise ValidationError("arctan weight center must be finite")
         self.center = c
 
     def finite_knots(self):
         return (self.center,)
 
-    def _local_moments(self, p, q, y):
+    def moment(self, k, p, q, y):
         p, q, y = np.broadcast_arrays(p, q, y)
         sigma = y - self.center
         if not self._mirrored:
-            return _arctan_upper_moments(p, q, sigma)
+            return _arctan_upper_moment(k, p, q, sigma)
         # the lower weight at center + s is the upper one at center - s
-        m0, m1 = _arctan_upper_moments(-q, -p, -sigma)
-        return m0, -m1
+        m = _arctan_upper_moment(k, -q, -p, -sigma)
+        return -m if k else m
 
 
 class ArctanUpperWeight(_ArctanWeight):
@@ -665,14 +661,6 @@ class PartitionOfUnity:
 def validate_partition(partition: PartitionOfUnity) -> PartitionReport:
     """Probe a partition and report without raising."""
     return partition.validate()
-
-
-def eval_weight(weight: WeightFunction, t, domain: IntervalDomain | None = None):
-    """Evaluate a weight, optionally enforcing domain membership."""
-    t = np.asarray(t, dtype=float)
-    if domain is not None:
-        domain.require(t, "evaluation point")
-    return weight(t)
 
 
 def rectangular_partition(

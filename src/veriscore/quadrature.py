@@ -4,7 +4,7 @@ Each integral starts as the panels of [min(p, q), max(p, q)] cut at the
 knots.  A pass applies QUADPACK's 15-point Kronrod rule and its embedded
 7-point Gauss rule (Piessens et al. 1983) to every open panel, calling the
 integrand once on one flat array of nodes.  A panel is accepted when
-|K15 - G7| <= max(tol, 1e-10 * |v|), v the current estimate of its
+|K15 - G7| <= max(TOL, 1e-10 * |v|), v the current estimate of its
 integral, and bisected otherwise, up to LIMIT panels per integral.  Sums
 run elementwise in a fixed order, so an integral's value does not depend
 on the batch it is computed in.
@@ -35,7 +35,7 @@ _RULE = np.array([
 NODES, KRONROD, GAUSS = np.concatenate([_RULE[:-1] * (-1.0, 1.0, 1.0), _RULE[::-1]]).T
 
 
-def gauss_kronrod(f, p, q, y=0.0, k=0, knots=(), tol=TOL):
+def gauss_kronrod(f, p, q, y=0.0, k=0, knots=()):
     """Signed integral of f(y + u) * u**k for u from p to q, elementwise.
 
     p, q and y broadcast and must be finite; the knots are points t where
@@ -66,7 +66,7 @@ def gauss_kronrod(f, p, q, y=0.0, k=0, knots=(), tol=TOL):
             diff += (KRONROD[j] - GAUSS[j]) * fu[j]
         kr, err = half * kr, np.abs(half * diff)
         v = np.abs(total + np.bincount(owner, kr, minlength=n))
-        ok = err <= np.maximum(tol, 1e-10 * v)[owner]
+        ok = err <= np.maximum(TOL, 1e-10 * v)[owner]
         done = ok | (count + np.bincount(owner[~ok], minlength=n) > LIMIT)[owner]
         total += np.bincount(owner[done], kr[done], minlength=n)
         error += np.bincount(owner[done], err[done], minlength=n)

@@ -67,8 +67,9 @@ class GeneratorSpec:
     """A generator g or phi together with the derivatives a family needs.
 
     ``family`` is "g" (quantile generators, needing g and g') or "phi"
-    (expectile and Huber generators, needing phi, phi', phi'').  When
-    the relevant derivative (g' or phi'') is a known constant,
+    (expectile and Huber generators, needing phi, phi', phi'').  The
+    score is a mixture of elementary scores with mixing density
+    ``density``: g' or phi''.  When that density is a known constant,
     ``deriv_const`` records it; region decompositions then have exact
     closed forms.
     """
@@ -79,6 +80,11 @@ class GeneratorSpec:
     derivative: Callable
     second_derivative: Callable | None = None
     deriv_const: float | None = None
+
+    @property
+    def density(self) -> Callable | None:
+        """The mixing density: g' for the g family, phi'' for the phi family."""
+        return self.derivative if self.family == "g" else self.second_derivative
 
     @staticmethod
     def identity_g() -> "GeneratorSpec":
@@ -142,25 +148,18 @@ class GeneratorSpec:
 
 def check_generator(gen: GeneratorSpec, lo=-100.0, hi=100.0, points=201) -> None:
     """Probe monotonicity (g) or convexity (phi) on a grid; raise if violated."""
-    grid = np.linspace(lo, hi, points)
-    if gen.family == "g":
-        d = np.asarray(gen.derivative(grid), dtype=float)
-        if np.any(d < -1e-12):
-            t = grid[np.argmin(d)]
-            raise ValidationError(
-                f"generator is decreasing near t={t:.6g} (g'={d.min():.3e})"
-            )
-    elif gen.family == "phi":
-        if gen.second_derivative is None:
-            raise ValidationError("phi generator needs a second derivative")
-        d = np.asarray(gen.second_derivative(grid), dtype=float)
-        if np.any(d < -1e-12):
-            t = grid[np.argmin(d)]
-            raise ValidationError(
-                f"generator is concave near t={t:.6g} (phi''={d.min():.3e})"
-            )
-    else:
+    if gen.family not in ("g", "phi"):
         raise ValidationError(f"unknown generator family {gen.family!r}")
+    if gen.density is None:
+        raise ValidationError("phi generator needs a second derivative")
+    grid = np.linspace(lo, hi, points)
+    d = np.asarray(gen.density(grid), dtype=float)
+    if np.any(d < -1e-12):
+        t = grid[np.argmin(d)]
+        shape, name = ("decreasing", "g'") if gen.family == "g" else ("concave", "phi''")
+        raise ValidationError(
+            f"generator is {shape} near t={t:.6g} ({name}={d.min():.3e})"
+        )
 
 
 @dataclass(frozen=True)
@@ -256,9 +255,8 @@ def score(spec: ScoringSpec, x, y):
     gen = spec.generator
     c = gen.deriv_const
     if c is None:
-        density = gen.derivative if gen.family == "g" else gen.second_derivative
         out = moment_score(
-            spec, lambda k, p, q, y: gauss_kronrod(density, p, q, y, k), x, y
+            spec, lambda k, p, q, y: gauss_kronrod(gen.density, p, q, y, k), x, y
         )
     elif spec.functional == "quantile":
         out = ((y < x) - spec.alpha) * (c * (x - y)) + 0.0  # + 0.0: no -0.0

@@ -122,8 +122,6 @@ def test_closed_form_flag_and_quadrature_agreement():
     r_slow = region_generator(slow, w)
     assert r_fast.has_closed_form
     assert not r_slow.has_closed_form
-    assert r_fast.closed_form is not None
-    assert r_slow.closed_form is None
     rng = np.random.default_rng(12)
     x = rng.uniform(-6, 9, 25)
     y = rng.uniform(-6, 9, 25)
@@ -252,7 +250,8 @@ def test_custom_weight_subclass_goes_through_quadrature():
     assert not upper.has_exact_integrals
     assert upper.integral(0.0, 2.0) == pytest.approx(1.0, abs=1e-12)
     # moments without a table come from quadrature
-    m0, m1 = upper.moments(np.array([0.0, 1.0, 3.0]), 2.0, 1.0)
+    lo = np.array([0.0, 1.0, 3.0])
+    m0, m1 = (upper.moment(k, lo - 1.0, 2.0 - 1.0, 1.0) for k in (0, 1))
     for lo, got0, got1 in zip((0.0, 1.0, 3.0), m0, m1):
         ref0 = integrate.quad(lambda t: float(upper(t)), lo, 2.0)[0]
         ref1 = integrate.quad(lambda t: (t - 1.0) * float(upper(t)), lo, 2.0)[0]

@@ -92,6 +92,7 @@ def test_murphy_curve_point_matches_elementary_mean():
     curve = murphy_curve(
         [("sys", (x, y))], "expectile", alpha=0.5, grid=np.array([9.0, 10.0, 11.0])
     )
+    assert curve.thresholds.tolist() == [9.0, 10.0, 11.0]
     manual = np.array(
         [
             elementary_score("expectile", t, x, y, alpha=0.5).mean()

@@ -448,6 +448,21 @@ def test_cli_values_outside_the_domain_name_the_case(tmp_path, capsys):
     assert not list(tmp_path.glob("out*"))
 
 
+def test_cli_negative_seed_exits_2(tmp_path, capsys):
+    paired = tmp_path / "paired.csv"
+    paired.write_text("case_id,forecast_a,forecast_b,obs\nc1,1,2,3\nc2,2,1,0.5\nc3,0,1,2\n")
+    spec = ["--functional", "expectile", "--alpha", "0.5"]
+    for argv in (
+        ["compare", *spec, "--input", str(paired), "--ci", "bootstrap", "--seed", "-1"],
+        ["synth", "--n", "10", "--seed", "-3"],
+        ["hedge", "--option", "1", "--seed", "-3"],
+    ):
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "seed" in err
+    assert not list(tmp_path.glob("out*"))
+
+
 def test_only_io_opens_files_or_imports_csv_and_json():
     # file formats are decided in veriscore.io alone
     hits = []
