@@ -10,9 +10,9 @@ components beat naive event selection when verifying extremes.
 
 import sys as _sys
 
-from .crps import *  # noqa: F403
 from .decomposition import *  # noqa: F403
 from .elementary import *  # noqa: F403
+from .ensemble import *  # noqa: F403
 from .errors import *  # noqa: F403
 from .evaluation import *  # noqa: F403
 from .io import *  # noqa: F403
@@ -22,7 +22,7 @@ from .scoring import *  # noqa: F403
 __version__ = "0.1.0"
 
 # the public API is the union of the submodules' __all__ lists
-_MODULES = "errors partition scoring decomposition crps elementary evaluation io".split()
+_MODULES = "errors partition scoring decomposition ensemble elementary evaluation io".split()
 __all__ = ["__version__"] + [
     name for m in _MODULES for name in _sys.modules[f"{__name__}.{m}"].__all__
 ]

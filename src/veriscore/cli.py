@@ -31,13 +31,14 @@ when numerical integration cannot reach its accuracy target.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .crps import crps, crps_components, read_ensemble_csv
 from .elementary import murphy_curve, write_murphy_csv, write_murphy_meta
+from .ensemble import crps, crps_components, read_ensemble_csv
 from .errors import NumericError, ValidationError
 from .evaluation import (
     STREAMS,
@@ -48,7 +49,6 @@ from .evaluation import (
     simulate_hedging,
 )
 from .io import (
-    mean_of_rounded,
     read_cases_csv,
     read_json,
     read_paired_csv,
@@ -176,16 +176,14 @@ def _parse_grid(value):
 def _write_scores(out, ids, score_echo, partition, totals, comps) -> int:
     """Write the cases CSV and the summary JSON, then print the summary."""
     columns = {"total": totals}
-    means = None
     if comps is not None:
         columns.update((f"component_{j}", c) for j, c in enumerate(comps))
-        means = [mean_of_rounded(c) for c in comps]
-    write_scores_csv(f"{out}.cases.csv", ids, columns)
+    total, *components = write_scores_csv(f"{out}.cases.csv", ids, columns).values()
     summary = {
         "n": len(ids),
         "score": score_echo,
         "partition": None if partition is None else partition_config(partition),
-        "mean": {"total": mean_of_rounded(totals), "components": means},
+        "mean": {"total": total, "components": None if comps is None else components},
     }
     write_json(summary, f"{out}.summary.json")
     print(f"{len(ids)} cases, mean score {float(np.mean(totals)):.2f}")
@@ -291,27 +289,21 @@ def _cmd_crps(args, cfg) -> int:
 
 def _cmd_synth(args, cfg) -> int:
     config = SyntheticConfig(
-        n=_get_int(args, cfg, "n", SyntheticConfig.n),
-        seed=_get_int(args, cfg, "seed", SyntheticConfig.seed),
-        clim_mean=_get_float(args, cfg, "clim_mean", SyntheticConfig.clim_mean),
-        clim_sd=_get_float(args, cfg, "clim_sd", SyntheticConfig.clim_sd),
-        err_b_sd=_get_float(args, cfg, "err_b_sd", SyntheticConfig.err_b_sd),
-        err_a_center=_get_float(
-            args, cfg, "err_a_center", SyntheticConfig.err_a_center
-        ),
-        err_a_base=_get_float(args, cfg, "err_a_base", SyntheticConfig.err_a_base),
+        **_given(
+            n=_get_int(args, cfg, "n"),
+            seed=_get_int(args, cfg, "seed"),
+            clim_mean=_get_float(args, cfg, "clim_mean"),
+            clim_sd=_get_float(args, cfg, "clim_sd"),
+            err_b_sd=_get_float(args, cfg, "err_b_sd"),
+            err_a_center=_get_float(args, cfg, "err_a_center"),
+            err_a_base=_get_float(args, cfg, "err_a_base"),
+        )
     )
     out = _require(_get(args, cfg, "out"), "out")
     cases_a, cases_b = generate_synthetic(config)
     write_paired_csv(cases_a, cases_b, f"{out}.cases.csv")
     meta = {
-        "n": config.n,
-        "seed": config.seed,
-        "clim_mean": config.clim_mean,
-        "clim_sd": config.clim_sd,
-        "err_b_sd": config.err_b_sd,
-        "err_a_center": config.err_a_center,
-        "err_a_base": config.err_a_base,
+        **dataclasses.asdict(config),
         "labels": ["A", "B"],
         "streams": STREAMS["synthetic"],
     }
@@ -402,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--bootstrap-samples",
         dest="bootstrap_samples",
         type=int,
-        help="bootstrap resample count (default 10000)",
+        help="bootstrap resample count",
     )
     p.add_argument("--seed", type=int, help="seed for the bootstrap stream")
     p.add_argument("--labels", help="two comma-separated system names (default A,B)")
@@ -427,8 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="draw the synthetic two-system experiment")
     _add_config_out(p)
-    p.add_argument("--n", type=int, help="number of cases (default 10000)")
-    p.add_argument("--seed", type=int, help="seed (default 0)")
+    p.add_argument("--n", type=int, help="number of cases")
+    p.add_argument("--seed", type=int, help="seed")
     p.add_argument("--clim-mean", dest="clim_mean", type=float)
     p.add_argument("--clim-sd", dest="clim_sd", type=float)
     p.add_argument("--err-b-sd", dest="err_b_sd", type=float)
@@ -439,9 +431,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hedge", help="event-selection hedging simulation")
     _add_config_out(p)
     p.add_argument("--option", type=int, help="assessment rule 1..5")
-    p.add_argument("--n", type=int, help="number of events (default 8000)")
-    p.add_argument("--seed", type=int, help="seed (default 0)")
-    p.add_argument("--threshold", type=float, help="event threshold (default 20)")
+    p.add_argument("--n", type=int, help="number of events")
+    p.add_argument("--seed", type=int, help="seed")
+    p.add_argument("--threshold", type=float, help="event threshold")
     p.add_argument("--mu-mean", dest="mu_mean", type=float)
     p.add_argument("--mu-sd", dest="mu_sd", type=float)
     p.add_argument("--log-sd", dest="log_sd", type=float)

@@ -109,24 +109,11 @@ def elementary_score(functional: str, theta, x, y, *, alpha=None, nu=None):
 
 
 def _as_xy(cases) -> tuple[np.ndarray, np.ndarray]:
-    """Forecast/observation arrays from a case container.
-
-    Accepts an object with ``forecasts`` and ``observations`` arrays, a
-    pair (forecasts, observations), or an iterable of objects carrying
-    ``forecast`` and ``observation`` attributes.
-    """
-    if hasattr(cases, "forecasts") and hasattr(cases, "observations"):
-        x = np.asarray(cases.forecasts, dtype=float)
-        y = np.asarray(cases.observations, dtype=float)
-    elif isinstance(cases, tuple) and len(cases) == 2:
-        x = np.atleast_1d(np.asarray(cases[0], dtype=float))
-        y = np.atleast_1d(np.asarray(cases[1], dtype=float))
-    else:
-        pairs = [(c.forecast, c.observation) for c in cases]
-        if not pairs:
-            raise ValidationError("empty forecast case collection")
-        arr = np.asarray(pairs, dtype=float)
-        x, y = arr[:, 0], arr[:, 1]
+    """Forecast/observation arrays from a (forecasts, observations) pair."""
+    if not (isinstance(cases, tuple) and len(cases) == 2):
+        raise ValidationError("forecast cases must be a (forecasts, observations) pair")
+    x = np.atleast_1d(np.asarray(cases[0], dtype=float))
+    y = np.atleast_1d(np.asarray(cases[1], dtype=float))
     if x.shape != y.shape or x.ndim != 1 or x.size == 0:
         raise ValidationError(
             "forecasts and observations must be equal-length non-empty arrays"
@@ -298,7 +285,8 @@ def murphy_curve(
     """Mean elementary score per system on a shared threshold grid.
 
     ``systems`` maps names to forecast cases: a dict, or a sequence of
-    (name, cases) pairs, where cases is anything ``_as_xy`` accepts.
+    (name, cases) pairs, where cases is a (forecasts, observations) pair
+    of equal-length arrays.
     ``grid`` defaults to 501 thresholds spanning all forecasts and
     observations with 5 percent padding; an int changes the count, a
     (lo, hi, n) tuple or an ascending list or array fixes it exactly.
@@ -420,8 +408,6 @@ def verify_mixture(
     y: float,
     *,
     weight: WeightFunction | None = None,
-    max_step: float = 0.02,
-    min_panels: int = 64,
 ) -> MixtureCheck:
     """Compare a score against its elementary mixture integral.
 
@@ -429,7 +415,8 @@ def verify_mixture(
     region weight when one is given); it lives on [min(x, y), max(x, y)]
     and is smooth except at the Huber kinks y +- nu and the weight's
     breakpoints, so the integration range is split there and each piece
-    gets a composite Simpson rule with step at most ``max_step``.
+    gets a composite Simpson rule of at least 64 panels, with step at
+    most 0.02.
     """
     x, y = float(x), float(y)
     if not (np.isfinite(x) and np.isfinite(y)):
@@ -478,7 +465,7 @@ def verify_mixture(
     edges = sorted(cuts)
     total = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
-        panels = max(min_panels, math.ceil((b - a) / max_step))
+        panels = max(64, math.ceil((b - a) / 0.02))
         panels += panels % 2
         total += _simpson(integrand, a, b, panels)
     return MixtureCheck(direct=direct, mixture=total)

@@ -2,11 +2,11 @@
 
 Every file the package reads or writes goes through this module.  All
 numeric output is serialized with 12 significant digits via
-``fmt12``.  Summary statistics are computed from the rounded per-case
-values, not the raw ones, so that a summary recomputed from a written
-per-case file reproduces the written summary bit for bit.  Output
-never embeds timestamps or environment details; identical inputs give
-byte-identical files.
+``fmt12``, and each per-case value is formatted once.  The summary
+means that ``write_scores_csv`` returns are read back from that same
+text, so a summary recomputed from a written per-case file reproduces
+the written summary bit for bit.  Output never embeds timestamps or
+environment details; identical inputs give byte-identical files.
 
 CSV schemas
 -----------
@@ -20,7 +20,7 @@ Paired systems (``read_paired_csv`` / ``write_paired_csv``)::
 
 Rows pair two forecasts with one shared observation.
 
-Ensemble (``veriscore.crps.read_ensemble_csv``)::
+Ensemble (``veriscore.ensemble.read_ensemble_csv``)::
 
     case_id, obs, m1, ..., mk
 
@@ -35,7 +35,7 @@ byte order mark is ignored), blank lines are skipped, case ids must be
 non-empty and unique, every value must be a finite number, and errors
 cite the file and line.  ``write_scores_csv`` writes per-case results,
 ``case_id`` followed by named numeric columns; the case writers and
-the Murphy curve writer share its code.
+the Murphy curve writer share its table writer.
 
 JSON
 ----
@@ -58,7 +58,6 @@ from .errors import ValidationError
 __all__ = [
     "fmt12",
     "round12",
-    "round12_array",
     "mean_of_rounded",
     "ForecastCase",
     "CaseSet",
@@ -71,6 +70,8 @@ __all__ = [
     "write_json",
 ]
 
+WRITE_BLOCK_ROWS = 8192  # rows formatted at a time: bounds the text held in memory
+
 
 def fmt12(x) -> str:
     """Decimal string with 12 significant digits."""
@@ -82,9 +83,13 @@ def round12(x) -> float:
     return float(fmt12(x))
 
 
-def round12_array(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    return np.asarray([round12(v) for v in arr.ravel()]).reshape(arr.shape)
+def _texts(values) -> list[str]:
+    """``fmt12`` of every value, in one pass."""
+    return [f"{v:.12g}" for v in np.asarray(values, dtype=float).ravel().tolist()]
+
+
+def _parse(texts: list[str]) -> np.ndarray:
+    return np.fromiter(map(float, texts), float, len(texts))
 
 
 def mean_of_rounded(values) -> float:
@@ -94,7 +99,7 @@ def mean_of_rounded(values) -> float:
     compute, which keeps written summaries reproducible from written
     cases.
     """
-    return round12(np.mean(round12_array(values)))
+    return round12(np.mean(_parse(_texts(values))))
 
 
 @dataclass(frozen=True)
@@ -252,33 +257,50 @@ def read_json(path) -> dict:
     return obj
 
 
-def _write_table(path, header: list[str], keys, columns) -> None:
-    """One row per key: the key, then each column's value (``fmt12``)."""
-    arrays = [np.asarray(a, dtype=float) for a in columns]
-    for n, a in zip(header[1:], arrays):
-        if a.shape != (len(keys),):
+def _write_table(path, header: list[str], keys, columns) -> np.ndarray:
+    """One row per key: the key, then each column's value (``fmt12``).
+
+    Each value is formatted once, ``WRITE_BLOCK_ROWS`` rows at a time so
+    that the text in memory stays bounded.  Returns the written cells
+    read back as floats, one row per column.
+    """
+    matrix = np.empty((len(header) - 1, len(keys)))
+    for name, row, col in zip(header[1:], matrix, columns):
+        col = np.asarray(col, dtype=float)
+        if col.shape != row.shape:
             raise ValidationError(
-                f"column {n!r} has shape {a.shape}, expected ({len(keys)},)"
+                f"column {name!r} has shape {col.shape}, expected ({len(keys)},)"
             )
+        row[:] = col
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for i, key in enumerate(keys):
-            writer.writerow([key] + [fmt12(a[i]) for a in arrays])
+        for start in range(0, len(keys), WRITE_BLOCK_ROWS):
+            block = matrix[:, start : start + WRITE_BLOCK_ROWS]
+            texts = [_texts(row) for row in block]
+            writer.writerows(zip(keys[start : start + WRITE_BLOCK_ROWS], *texts))
+            for row, cells in zip(block, texts):
+                row[:] = _parse(cells)
+    return matrix
 
 
-def write_scores_csv(path, ids, columns: dict) -> None:
+def write_scores_csv(path, ids, columns: dict) -> dict[str, float]:
     """Per-case values: ``case_id`` plus one named numeric column each.
 
     ``columns`` maps column name to an array aligned with ids; ordering
-    of the mapping is preserved in the file.
+    of the mapping is preserved in the file.  Returns each column's
+    summary mean, taken over the written cells (``mean_of_rounded``).
     """
-    _write_table(path, ["case_id", *columns], ids, columns.values())
+    written = _write_table(path, ["case_id", *columns], ids, columns.values())
+    return {name: round12(np.mean(row)) for name, row in zip(columns, written)}
 
 
 def write_cases_csv(cases: CaseSet, path) -> None:
-    write_scores_csv(
-        path, cases.ids, {"forecast": cases.forecasts, "obs": cases.observations}
+    _write_table(
+        path,
+        ["case_id", "forecast", "obs"],
+        cases.ids,
+        [cases.forecasts, cases.observations],
     )
 
 
@@ -287,14 +309,11 @@ def write_paired_csv(cases_a: CaseSet, cases_b: CaseSet, path) -> None:
         raise ValidationError("paired case sets must share ids in order")
     if not np.array_equal(cases_a.observations, cases_b.observations):
         raise ValidationError("paired case sets must share observations")
-    write_scores_csv(
+    _write_table(
         path,
+        ["case_id", "forecast_a", "forecast_b", "obs"],
         cases_a.ids,
-        {
-            "forecast_a": cases_a.forecasts,
-            "forecast_b": cases_b.forecasts,
-            "obs": cases_a.observations,
-        },
+        [cases_a.forecasts, cases_b.forecasts, cases_a.observations],
     )
 
 

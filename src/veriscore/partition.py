@@ -560,7 +560,6 @@ class PartitionOfUnity:
         domain: IntervalDomain = REAL_LINE,
         *,
         probe_points: int = PROBE_POINTS_DEFAULT,
-        tol: float = SUM_TOLERANCE_DEFAULT,
         validate: bool = True,
     ):
         weights = tuple(weights)
@@ -574,7 +573,6 @@ class PartitionOfUnity:
         self.weights = weights
         self.domain = domain
         self.probe_points = int(probe_points)
-        self.tol = float(tol)
         self._grid = None
         if validate:
             report = self.validate()
@@ -627,7 +625,7 @@ class PartitionOfUnity:
                 passed=False,
                 n_weights=len(self.weights),
                 n_probe=grid.size,
-                tolerance=self.tol,
+                tolerance=SUM_TOLERANCE_DEFAULT,
                 max_sum_error=math.inf,
                 worst_point=math.nan,
                 messages=(str(exc),),
@@ -636,14 +634,14 @@ class PartitionOfUnity:
         err = np.abs(sums - 1.0)
         worst = int(np.argmax(err))
         max_err = float(err[worst])
-        if max_err > self.tol:
+        if max_err > SUM_TOLERANCE_DEFAULT:
             messages.append(
                 f"weights sum to {sums[worst]:.15g} at t={grid[worst]:.9g} "
-                f"(error {max_err:.3e} > tol {self.tol:.1e})"
+                f"(error {max_err:.3e} > tol {SUM_TOLERANCE_DEFAULT:.1e})"
             )
         for j, row in enumerate(mat):
             lo, hi = float(row.min()), float(row.max())
-            if lo < -self.tol or hi > 1.0 + self.tol:
+            if lo < -SUM_TOLERANCE_DEFAULT or hi > 1.0 + SUM_TOLERANCE_DEFAULT:
                 messages.append(
                     f"weight {j} leaves [0, 1]: range [{lo:.15g}, {hi:.15g}]"
                 )
@@ -651,7 +649,7 @@ class PartitionOfUnity:
             passed=not messages,
             n_weights=len(self.weights),
             n_probe=grid.size,
-            tolerance=self.tol,
+            tolerance=SUM_TOLERANCE_DEFAULT,
             max_sum_error=max_err,
             worst_point=float(grid[worst]),
             messages=tuple(messages),

@@ -146,13 +146,13 @@ class GeneratorSpec:
         )
 
 
-def check_generator(gen: GeneratorSpec, lo=-100.0, hi=100.0, points=201) -> None:
-    """Probe monotonicity (g) or convexity (phi) on a grid; raise if violated."""
+def check_generator(gen: GeneratorSpec) -> None:
+    """Probe monotonicity (g) or convexity (phi) on [-100, 100]; raise if violated."""
     if gen.family not in ("g", "phi"):
         raise ValidationError(f"unknown generator family {gen.family!r}")
     if gen.density is None:
         raise ValidationError("phi generator needs a second derivative")
-    grid = np.linspace(lo, hi, points)
+    grid = np.linspace(-100.0, 100.0, 201)
     d = np.asarray(gen.density(grid), dtype=float)
     if np.any(d < -1e-12):
         t = grid[np.argmin(d)]

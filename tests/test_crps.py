@@ -1,7 +1,6 @@
 """CRPS exactness, decomposition additivity, and ensemble input."""
 
 import hashlib
-import importlib
 import math
 import tracemalloc
 from fractions import Fraction
@@ -9,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import veriscore.ensemble
 from veriscore import (
     EmpiricalCDF,
     EnsembleSet,
@@ -23,9 +23,6 @@ from veriscore import (
     rectangular_partition,
     trapezoidal_partition,
 )
-
-# the package's `crps` attribute is the function, so fetch the module itself
-CRPS_MODULE = importlib.import_module("veriscore.crps")
 
 
 def test_two_point_hand_value():
@@ -271,7 +268,7 @@ def test_results_do_not_depend_on_the_block_budget(monkeypatch):
 
     default = results()  # every row in one block
     for rows in (1, 3):
-        monkeypatch.setattr(CRPS_MODULE, "CRPS_BLOCK_BYTES", 8 * (m + 1) * rows)
+        monkeypatch.setattr(veriscore.ensemble, "CRPS_BLOCK_BYTES", 8 * (m + 1) * rows)
         assert results() == default
     totals = crps(ens, y)
     comps = crps_components(ens, y, partition)

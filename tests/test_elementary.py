@@ -117,6 +117,8 @@ def test_murphy_curve_validation():
         )
     with pytest.raises(ValidationError):
         murphy_curve({"A": (np.array([]), np.array([]))}, "quantile", alpha=0.5)
+    with pytest.raises(ValidationError, match="pair"):
+        murphy_curve({"A": [x, y]}, "quantile", alpha=0.5)
 
 
 PARAMS = (

@@ -2,8 +2,10 @@
 
 import ast
 import csv
+import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -143,6 +145,22 @@ def test_write_scores_csv_validates_shapes(tmp_path):
         )
 
 
+def test_written_bytes_and_means_do_not_depend_on_the_block_size(tmp_path, monkeypatch):
+    rng = np.random.default_rng(4)
+    ids = [f"c{i}" for i in range(10)]
+    columns = {"total": rng.normal(0.0, 1e3, 10), "component_0": rng.normal(0.0, 1.0, 10)}
+
+    def written():
+        means = write_scores_csv(tmp_path / "s.csv", ids, columns)
+        return (tmp_path / "s.csv").read_bytes(), means
+
+    default = written()  # every row in one block
+    assert default[1] == {name: mean_of_rounded(c) for name, c in columns.items()}
+    for rows in (1, 3):
+        monkeypatch.setattr(veriscore.io, "WRITE_BLOCK_ROWS", rows)
+        assert written() == default
+
+
 def test_write_json_layout(tmp_path):
     p = tmp_path / "o.json"
     write_json({"b": 1, "a": [1.5, None]}, p)
@@ -260,6 +278,55 @@ def test_cli_synth_outputs_are_deterministic(tmp_path):
     meta = json.loads(open(tmp_path / "r1.meta.json").read())
     assert meta["n"] == 500 and meta["seed"] == 11
     assert meta["streams"] == {"observations": 0, "errors_a": 1, "errors_b": 2}
+
+
+def _digests(prefix, suffixes):
+    return {
+        s: hashlib.sha256(Path(f"{prefix}.{s}").read_bytes()).hexdigest()
+        for s in suffixes
+    }
+
+
+def test_cli_score_partition_output_bytes_are_pinned(tmp_path):
+    # ids that csv must quote (comma, double quote) or keep (inner space)
+    rng = np.random.default_rng(23)
+    y = rng.normal(4.0, 15.0, 2000)
+    x = y + rng.normal(0.0, 2.0, 2000)
+    ids = [f"c{i:04d}" for i in range(2000)]
+    ids[:3] = ["a,b", 'say "hi"', "inner space"]
+    inp = tmp_path / "in.csv"
+    rows = zip(ids, map(repr, x.tolist()), map(repr, y.tolist()))
+    _write_cases(inp, [list(row) for row in rows])
+    part = tmp_path / "p.json"
+    part.write_text(json.dumps({"cutpoints": [-10.0, 0.0, 10.0]}))
+    argv = ["score", "--functional", "expectile", "--alpha", "0.5"]
+    argv += ["--input", str(inp), "--partition", str(part)]
+    assert main([*argv, "--out", str(tmp_path / "s")]) == 0
+    with open(tmp_path / "s.cases.csv", newline="") as fh:
+        assert [row[0] for row in csv.reader(fh)][1:4] == ids[:3]
+    assert _digests(tmp_path / "s", ("cases.csv", "summary.json")) == {
+        "cases.csv": "d0e0675d3fa8fb305887112a71626bf6f831d509d5349c4a2a194ce5219a694d",
+        "summary.json": "cbd702c04d5f6ccc866bd55fba310fb4066c328f76eff954507c878279c2ebc8",
+    }
+
+
+def test_cli_synth_output_bytes_are_pinned(tmp_path):
+    assert main(["synth", "--n", "500", "--seed", "3", "--out", str(tmp_path / "r")]) == 0
+    assert _digests(tmp_path / "r", ("cases.csv", "meta.json")) == {
+        "cases.csv": "de401c3d714d6c084cf13dcd1639365722e3e234e94a15c41af0fb4593b65554",
+        "meta.json": "077f57db61603577067c5d5860686e0ca84246e490cfd4cc88c236e270a7b858",
+    }
+
+
+def test_cli_help_states_no_library_default(capsys):
+    # a default lives only in the library's signature, so help cannot go stale
+    for command in (
+        "score", "compare", "murphy", "crps", "synth", "hedge", "validate-partition"
+    ):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = capsys.readouterr().out
+        assert not re.search(r"\(default\s+\d", text), command
 
 
 def test_cli_compare_on_synth_output(tmp_path):
