@@ -11,11 +11,12 @@ hedge               run the event-selection hedging simulation
 validate-partition  check that a partition config sums to one
 
 Every subcommand accepts ``--config FILE`` with a JSON object whose
-keys mirror the long flag names (underscores for dashes); explicit
-flags override config values.  The config key ``generator`` selects a
-named scoring generator (identity_g, quadratic_phi,
-scaled_quadratic_phi) when the default for the functional is not
-wanted.
+keys are the subcommand's long flag names (underscores for dashes).
+A config value goes through its flag's own type and choices, a key
+that is not a flag of the subcommand is an error, and a flag given on
+the command line overrides the config.  ``score`` and ``compare`` take
+``--generator`` (identity_g, quadratic_phi, scaled_quadratic_phi) when
+the default generator for the functional is not wanted.
 
 Outputs go to ``--out`` as a path prefix; each subcommand appends its
 own suffixes (for example ``run1`` becomes ``run1.cases.csv`` and
@@ -73,72 +74,69 @@ _DEFAULT_GENERATOR = {
 }
 
 
-def _get(args, cfg: dict, key: str, default=None):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    return cfg.get(key, default)
+def _int(value) -> int:
+    """int() that does not truncate: "3" and 3.0 give 3, 2.5 is an error."""
+    number = int(value)
+    if not isinstance(value, str) and number != value:
+        raise ValueError(f"{value!r} is not an integer")
+    return number
 
 
-def _get_float(args, cfg, key, default=None):
-    value = _get(args, cfg, key, default)
-    if value is None:
-        return None
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{key} must be a number, got {value!r}") from None
+_int.__name__ = "int"  # argparse names the type in its messages
 
 
-def _get_int(args, cfg, key, default=None):
-    value = _get(args, cfg, key, default)
-    if value is None:
-        return None
-    if isinstance(value, float) and value != int(value):
-        raise ValidationError(f"{key} must be an integer, got {value!r}")
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{key} must be an integer, got {value!r}") from None
+def _merge_config(args, cfg: dict) -> None:
+    """Give each flag left unset its config value, through the flag's own type."""
+    for key, value in cfg.items():
+        action = args.flags.get(key)
+        where = f"config key {key!r} for {args.command}"
+        if action is None:
+            raise ValidationError(
+                f"unknown {where}; expected one of {sorted(args.flags)}"
+            )
+        if value is None or getattr(args, key) is not None:
+            continue  # a given flag overrides the config
+        if action.nargs == "+" and isinstance(value, str):
+            value = [value]
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except (TypeError, ValueError, OverflowError):
+                raise ValidationError(f"{where}: invalid value {value!r}") from None
+        if action.choices is not None and value not in action.choices:
+            raise ValidationError(
+                f"{where}: invalid choice {value!r} "
+                f"(choose from {list(action.choices)})"
+            )
+        setattr(args, key, value)
 
 
-def _given(**values) -> dict:
-    """The values a flag or the config set; the library's defaults fill the rest."""
-    return {key: value for key, value in values.items() if value is not None}
-
-
-def _require(value, flag: str):
+def _require(args, name: str):
+    value = getattr(args, name)
     if value is None:
         raise ValidationError(
-            f"--{flag.replace('_', '-')} is required (flag or config key)"
+            f"--{name.replace('_', '-')} is required (flag or config key)"
         )
     return value
 
 
-def _build_spec(functional, alpha, nu, generator=None) -> ScoringSpec:
-    functional = _require(functional, "functional")
-    if functional not in FUNCTIONALS:
-        raise ValidationError(
-            f"unknown functional {functional!r}, expected one of {FUNCTIONALS}"
-        )
-    kind = generator if generator is not None else _DEFAULT_GENERATOR[functional]
-    if kind not in _GENERATORS:
-        raise ValidationError(
-            f"unknown generator {kind!r}, expected one of {sorted(_GENERATORS)}"
-        )
-    return ScoringSpec(functional, _GENERATORS[kind](), alpha=alpha, nu=nu)
+def _given(args, *names) -> dict:
+    """The values a flag or the config set; the library's defaults fill the rest."""
+    values = {name: getattr(args, name) for name in names}
+    return {name: value for name, value in values.items() if value is not None}
 
 
-def _load_partition(args, cfg):
-    path = _get(args, cfg, "partition")
-    if path is None:
-        return None
-    return load_partition_config(path)
+def _build_spec(args) -> ScoringSpec:
+    functional = _require(args, "functional")
+    generator = _GENERATORS[args.generator or _DEFAULT_GENERATOR[functional]]
+    return ScoringSpec(functional, generator(), alpha=args.alpha, nu=args.nu)
+
+
+def _load_partition(args):
+    return None if args.partition is None else load_partition_config(args.partition)
 
 
 def _parse_labels(value) -> tuple[str, str]:
-    if value is None:
-        return ("A", "B")
     if isinstance(value, (list, tuple)):
         parts = [str(p).strip() for p in value]
     else:
@@ -151,8 +149,6 @@ def _parse_labels(value) -> tuple[str, str]:
 
 
 def _parse_grid(value):
-    if value is None:
-        return None
     if isinstance(value, bool):
         raise ValidationError(f"grid must be N or lo,hi,n, got {value!r}")
     if isinstance(value, (int, float)):
@@ -197,74 +193,47 @@ def _write_scores(out, ids, score_echo, partition, totals, comps) -> int:
     return 0
 
 
-def _cmd_score(args, cfg) -> int:
-    spec = _build_spec(
-        _get(args, cfg, "functional"),
-        _get_float(args, cfg, "alpha"),
-        _get_float(args, cfg, "nu"),
-        cfg.get("generator"),
-    )
-    partition = _load_partition(args, cfg)
-    cases = read_cases_csv(_require(_get(args, cfg, "input"), "input"))
-    out = _require(_get(args, cfg, "out"), "out")
+def _write_report(report, path: str) -> int:
+    """Write a report's JSON, then print its summary."""
+    write_json(report.to_dict(), path)
+    for line in report.summary_lines():
+        print(line)
+    print(f"wrote {path}")
+    return 0
+
+
+def _cmd_score(args) -> int:
+    spec = _build_spec(args)
+    partition = _load_partition(args)
+    cases = read_cases_csv(_require(args, "input"))
+    out = _require(args, "out")
     totals, comps = case_scores(spec, cases, partition)
     return _write_scores(out, cases.ids, spec.describe(), partition, totals, comps)
 
 
-def _cmd_compare(args, cfg) -> int:
-    spec = _build_spec(
-        _get(args, cfg, "functional"),
-        _get_float(args, cfg, "alpha"),
-        _get_float(args, cfg, "nu"),
-        cfg.get("generator"),
-    )
-    partition = _load_partition(args, cfg)
-    cases_a, cases_b = read_paired_csv(_require(_get(args, cfg, "input"), "input"))
-    out = _require(_get(args, cfg, "out"), "out")
-    report = compare(
-        cases_a,
-        cases_b,
-        spec,
-        partition,
-        labels=_parse_labels(_get(args, cfg, "labels")),
-        **_given(
-            ci=_get(args, cfg, "ci"),
-            bootstrap_samples=_get_int(args, cfg, "bootstrap_samples"),
-            seed=_get_int(args, cfg, "seed"),
-        ),
-    )
-    write_json(report.to_dict(), f"{out}.report.json")
-    for line in report.summary_lines():
-        print(line)
-    print(f"wrote {out}.report.json")
-    return 0
+def _cmd_compare(args) -> int:
+    spec = _build_spec(args)
+    partition = _load_partition(args)
+    cases_a, cases_b = read_paired_csv(_require(args, "input"))
+    out = _require(args, "out")
+    options = _given(args, "labels", "ci", "bootstrap_samples", "seed")
+    report = compare(cases_a, cases_b, spec, partition, **options)
+    return _write_report(report, f"{out}.report.json")
 
 
-def _cmd_murphy(args, cfg) -> int:
-    functional = _require(_get(args, cfg, "functional"), "functional")
-    alpha = _get_float(args, cfg, "alpha")
-    nu = _get_float(args, cfg, "nu")
-    grid = _parse_grid(_get(args, cfg, "grid"))
-    out = _require(_get(args, cfg, "out"), "out")
-    input_path = _get(args, cfg, "input")
-    inputs = _get(args, cfg, "inputs")
-    if (input_path is None) == (inputs is None):
+def _cmd_murphy(args) -> int:
+    functional = _require(args, "functional")
+    out = _require(args, "out")
+    if (args.input is None) == (args.inputs is None):
         raise ValidationError("pass exactly one of --input (paired) or --inputs")
-    if input_path is not None:
-        label_a, label_b = _parse_labels(_get(args, cfg, "labels"))
-        cases_a, cases_b = read_paired_csv(input_path)
-        systems = [
-            (label_a, (cases_a.forecasts, cases_a.observations)),
-            (label_b, (cases_b.forecasts, cases_b.observations)),
-        ]
+    if args.input is not None:
+        named = zip(args.labels or ("A", "B"), read_paired_csv(args.input))
     else:
-        if isinstance(inputs, str):
-            inputs = [inputs]
-        systems = []
-        for p in inputs:
-            cases = read_cases_csv(p)
-            systems.append((Path(p).stem, (cases.forecasts, cases.observations)))
-    curve = murphy_curve(systems, functional, alpha=alpha, nu=nu, grid=grid)
+        named = [(Path(p).stem, read_cases_csv(p)) for p in args.inputs]
+    systems = [(name, (c.forecasts, c.observations)) for name, c in named]
+    curve = murphy_curve(
+        systems, functional, alpha=args.alpha, nu=args.nu, grid=args.grid
+    )
     write_murphy_csv(curve, f"{out}.murphy.csv")
     write_murphy_meta(curve, f"{out}.murphy.json")
     print(
@@ -277,29 +246,20 @@ def _cmd_murphy(args, cfg) -> int:
     return 0
 
 
-def _cmd_crps(args, cfg) -> int:
-    partition = _load_partition(args, cfg)
-    ensembles = read_ensemble_csv(_require(_get(args, cfg, "input"), "input"))
-    out = _require(_get(args, cfg, "out"), "out")
+def _cmd_crps(args) -> int:
+    partition = _load_partition(args)
+    ensembles = read_ensemble_csv(_require(args, "input"))
+    out = _require(args, "out")
     y = ensembles.observations
     totals = crps(ensembles, y)
     comps = None if partition is None else crps_components(ensembles, y, partition)
     return _write_scores(out, ensembles.ids, {"kind": "crps"}, partition, totals, comps)
 
 
-def _cmd_synth(args, cfg) -> int:
-    config = SyntheticConfig(
-        **_given(
-            n=_get_int(args, cfg, "n"),
-            seed=_get_int(args, cfg, "seed"),
-            clim_mean=_get_float(args, cfg, "clim_mean"),
-            clim_sd=_get_float(args, cfg, "clim_sd"),
-            err_b_sd=_get_float(args, cfg, "err_b_sd"),
-            err_a_center=_get_float(args, cfg, "err_a_center"),
-            err_a_base=_get_float(args, cfg, "err_a_base"),
-        )
-    )
-    out = _require(_get(args, cfg, "out"), "out")
+def _cmd_synth(args) -> int:
+    fields = [f.name for f in dataclasses.fields(SyntheticConfig)]
+    config = SyntheticConfig(**_given(args, *fields))
+    out = _require(args, "out")
     cases_a, cases_b = generate_synthetic(config)
     write_paired_csv(cases_a, cases_b, f"{out}.cases.csv")
     meta = {
@@ -315,29 +275,18 @@ def _cmd_synth(args, cfg) -> int:
     return 0
 
 
-def _cmd_hedge(args, cfg) -> int:
+def _cmd_hedge(args) -> int:
     report = simulate_hedging(
-        _require(_get_int(args, cfg, "option"), "option"),
+        _require(args, "option"),
         **_given(
-            n=_get_int(args, cfg, "n"),
-            seed=_get_int(args, cfg, "seed"),
-            threshold=_get_float(args, cfg, "threshold"),
-            mu_mean=_get_float(args, cfg, "mu_mean"),
-            mu_sd=_get_float(args, cfg, "mu_sd"),
-            log_sd=_get_float(args, cfg, "log_sd"),
-            rival_sd=_get_float(args, cfg, "rival_sd"),
+            args, "n", "seed", "threshold", "mu_mean", "mu_sd", "log_sd", "rival_sd"
         ),
     )
-    out = _require(_get(args, cfg, "out"), "out")
-    write_json(report.to_dict(), f"{out}.hedge.json")
-    for line in report.summary_lines():
-        print(line)
-    print(f"wrote {out}.hedge.json")
-    return 0
+    return _write_report(report, f"{_require(args, 'out')}.hedge.json")
 
 
-def _cmd_validate_partition(args, cfg) -> int:
-    path = _require(_get(args, cfg, "partition"), "partition")
+def _cmd_validate_partition(args) -> int:
+    path = _require(args, "partition")
     partition = load_partition_config(path, validate=False)
     report = partition.validate()
     status = "valid" if report.passed else "INVALID"
@@ -354,20 +303,6 @@ def _cmd_validate_partition(args, cfg) -> int:
     return 0 if report.passed else 2
 
 
-def _add_config_out(p, out=True):
-    p.add_argument("--config", help="JSON file with defaults for these flags")
-    if out:
-        p.add_argument("--out", help="output path prefix")
-
-
-def _add_spec_flags(p):
-    p.add_argument(
-        "--functional", choices=list(FUNCTIONALS), help="functional being forecast"
-    )
-    p.add_argument("--alpha", type=float, help="quantile or expectile level in (0,1)")
-    p.add_argument("--nu", type=float, help="positive Huber cap")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="veriscore",
@@ -375,86 +310,88 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("score", help="score one system's forecast cases")
-    _add_config_out(p)
-    _add_spec_flags(p)
-    p.add_argument("--input", help="cases CSV (case_id, forecast, obs)")
-    p.add_argument("--partition", help="partition-of-unity config JSON")
-    p.set_defaults(handler=_cmd_score)
+    def command(name, handler, help_text, *flags):
+        # the flags' actions are the schema of the subcommand's config keys
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", help="JSON file of flag values; given flags win")
+        actions = [p.add_argument(flag, **kw) for flag, kw in flags]
+        p.set_defaults(handler=handler, flags={a.dest: a for a in actions})
 
-    p = sub.add_parser("compare", help="paired comparison of two systems")
-    _add_config_out(p)
-    _add_spec_flags(p)
-    p.add_argument(
-        "--input", help="paired CSV (case_id, forecast_a, forecast_b, obs)"
+    def flag(name, help_text=None, **kw):
+        return (name, dict(kw, help=help_text))
+
+    out = flag("--out", "output path prefix")
+    partition = flag("--partition", "partition-of-unity config JSON")
+    spec = [
+        flag("--functional", "functional being forecast", choices=list(FUNCTIONALS)),
+        flag("--alpha", "quantile or expectile level in (0,1)", type=float),
+        flag("--nu", "positive Huber cap", type=float),
+    ]
+    generator = flag(
+        "--generator",
+        "named scoring generator, if not the functional's default",
+        choices=list(_GENERATORS),
     )
-    p.add_argument("--partition", help="partition-of-unity config JSON")
-    p.add_argument("--ci", choices=["normal", "bootstrap"], help="interval method")
-    p.add_argument(
-        "--bootstrap-samples",
-        dest="bootstrap_samples",
-        type=int,
-        help="bootstrap resample count",
+    seed = flag("--seed", "seed", type=_int)
+
+    command(
+        "score", _cmd_score, "score one system's forecast cases",
+        out, *spec, generator, partition,
+        flag("--input", "cases CSV (case_id, forecast, obs)"),
     )
-    p.add_argument("--seed", type=int, help="seed for the bootstrap stream")
-    p.add_argument("--labels", help="two comma-separated system names (default A,B)")
-    p.set_defaults(handler=_cmd_compare)
-
-    p = sub.add_parser("murphy", help="mean elementary score curves")
-    _add_config_out(p)
-    _add_spec_flags(p)
-    p.add_argument("--input", help="paired CSV for two systems")
-    p.add_argument(
-        "--inputs", nargs="+", help="one cases CSV per system (names from filenames)"
+    command(
+        "compare", _cmd_compare, "paired comparison of two systems",
+        out, *spec, generator, partition,
+        flag("--input", "paired CSV (case_id, forecast_a, forecast_b, obs)"),
+        flag("--ci", "interval method", choices=["normal", "bootstrap"]),
+        flag("--bootstrap-samples", "bootstrap resample count", type=_int),
+        flag("--seed", "seed for the bootstrap stream", type=_int),
+        flag("--labels", "two comma-separated system names (default A,B)",
+             type=_parse_labels),
     )
-    p.add_argument("--labels", help="system names for --input (default A,B)")
-    p.add_argument("--grid", help="threshold grid: point count N or lo,hi,n")
-    p.set_defaults(handler=_cmd_murphy)
-
-    p = sub.add_parser("crps", help="CRPS of ensemble forecasts")
-    _add_config_out(p)
-    p.add_argument("--input", help="ensemble CSV (case_id, obs, m1..mk)")
-    p.add_argument("--partition", help="partition-of-unity config JSON")
-    p.set_defaults(handler=_cmd_crps)
-
-    p = sub.add_parser("synth", help="draw the synthetic two-system experiment")
-    _add_config_out(p)
-    p.add_argument("--n", type=int, help="number of cases")
-    p.add_argument("--seed", type=int, help="seed")
-    p.add_argument("--clim-mean", dest="clim_mean", type=float)
-    p.add_argument("--clim-sd", dest="clim_sd", type=float)
-    p.add_argument("--err-b-sd", dest="err_b_sd", type=float)
-    p.add_argument("--err-a-center", dest="err_a_center", type=float)
-    p.add_argument("--err-a-base", dest="err_a_base", type=float)
-    p.set_defaults(handler=_cmd_synth)
-
-    p = sub.add_parser("hedge", help="event-selection hedging simulation")
-    _add_config_out(p)
-    p.add_argument("--option", type=int, help="assessment rule 1..5")
-    p.add_argument("--n", type=int, help="number of events")
-    p.add_argument("--seed", type=int, help="seed")
-    p.add_argument("--threshold", type=float, help="event threshold")
-    p.add_argument("--mu-mean", dest="mu_mean", type=float)
-    p.add_argument("--mu-sd", dest="mu_sd", type=float)
-    p.add_argument("--log-sd", dest="log_sd", type=float)
-    p.add_argument("--rival-sd", dest="rival_sd", type=float)
-    p.set_defaults(handler=_cmd_hedge)
-
-    p = sub.add_parser(
-        "validate-partition", help="check a partition config sums to one"
+    command(
+        "murphy", _cmd_murphy, "mean elementary score curves",
+        out, *spec,
+        flag("--input", "paired CSV for two systems"),
+        flag("--inputs", "one cases CSV per system (names from filenames)",
+             nargs="+"),
+        flag("--labels", "system names for --input (default A,B)",
+             type=_parse_labels),
+        flag("--grid", "threshold grid: point count N or lo,hi,n", type=_parse_grid),
     )
-    _add_config_out(p, out=False)
-    p.add_argument("--partition", help="partition-of-unity config JSON")
-    p.set_defaults(handler=_cmd_validate_partition)
-
+    command(
+        "crps", _cmd_crps, "CRPS of ensemble forecasts",
+        out, partition, flag("--input", "ensemble CSV (case_id, obs, m1..mk)"),
+    )
+    command(
+        "synth", _cmd_synth, "draw the synthetic two-system experiment",
+        out, flag("--n", "number of cases", type=_int), seed,
+        *(flag(f"--{name}", type=float) for name in (
+            "clim-mean", "clim-sd", "err-b-sd", "err-a-center", "err-a-base"
+        )),
+    )
+    command(
+        "hedge", _cmd_hedge, "event-selection hedging simulation",
+        out, flag("--option", "assessment rule 1..5", type=_int),
+        flag("--n", "number of events", type=_int), seed,
+        flag("--threshold", "event threshold", type=float),
+        *(flag(f"--{name}", type=float) for name in (
+            "mu-mean", "mu-sd", "log-sd", "rival-sd"
+        )),
+    )
+    command(
+        "validate-partition", _cmd_validate_partition,
+        "check a partition config sums to one", partition,
+    )
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        cfg = {} if args.config is None else read_json(args.config)
-        return args.handler(args, cfg)
+        args = build_parser().parse_args(argv)
+        if args.config is not None:
+            _merge_config(args, read_json(args.config))
+        return args.handler(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -193,7 +193,8 @@ def _align(cases_a: CaseSet, cases_b: CaseSet) -> CaseSet:
         pos = {cid: i for i, cid in enumerate(cases_b.ids)}
         missing = [cid for cid in cases_a.ids if cid not in pos]
         if missing or len(cases_a) != len(cases_b):
-            extra = [cid for cid in cases_b.ids if cid not in set(cases_a.ids)]
+            ids_a = set(cases_a.ids)
+            extra = [cid for cid in cases_b.ids if cid not in ids_a]
             raise ValidationError(
                 "case sets do not pair up: "
                 f"{len(missing)} ids missing from the second set "
@@ -470,12 +471,43 @@ class HedgingReport:
         return lines
 
 
-_OPTION_NOTES = {
-    1: "assess events whose observation reaches the threshold",
-    2: "assess events where either submitted forecast reaches the threshold",
-    3: "assess events where a forecast or the observation reaches the threshold",
-    4: "assess events where the rival forecast reaches the threshold",
-    5: "assess all events with the upper-region component of squared error",
+def _squared(f, y, t):
+    return (f - y) ** 2
+
+
+def _upper_squared(f, y, t):
+    # the upper-region component of squared error split at the threshold
+    upper = region_generator(squared_error(), RectangularWeight(t, np.inf))
+    return np.asarray(upper.score(f, y))
+
+
+# option: (note, assessed set of a submitted forecast f given the outcome y,
+# the rival's forecast r and the threshold t, score, whether the set ignores
+# f so that gains are paired, strategies played against honest forecasting)
+_HEDGING_RULES = {
+    1: (
+        "assess events whose observation reaches the threshold",
+        lambda f, y, r, t: y >= t, _squared, True, ("tail_conditional_mean",),
+    ),
+    2: (
+        "assess events where either submitted forecast reaches the threshold",
+        lambda f, y, r, t: np.maximum(r, f) >= t, _squared, False,
+        ("forced_assessment",),
+    ),
+    3: (
+        "assess events where a forecast or the observation reaches the threshold",
+        lambda f, y, r, t: (np.maximum(r, f) >= t) | (y >= t), _squared, False,
+        ("threshold_dodge",),
+    ),
+    4: (
+        "assess events where the rival forecast reaches the threshold",
+        lambda f, y, r, t: r >= t, _squared, True, ("strategic",),
+    ),
+    5: (
+        "assess all events with the upper-region component of squared error",
+        lambda f, y, r, t: np.ones(y.shape, dtype=bool), _upper_squared, True,
+        ("tail_conditional_mean", "forced_assessment", "threshold_dodge"),
+    ),
 }
 
 
@@ -533,7 +565,7 @@ def simulate_hedging(
     option; standard errors are paired when the assessed set cannot
     change (options 1, 4, 5) and conservative otherwise.
     """
-    if option not in (1, 2, 3, 4, 5):
+    if option not in _HEDGING_RULES:
         raise ValidationError(f"option must be 1..5, got {option}")
     if n < 2:
         raise ValidationError(f"n must be at least 2, got {n}")
@@ -564,9 +596,15 @@ def simulate_hedging(
 
     neither = np.maximum(x_rival, m) < t
     forcing_pays = neither & ((t - m) ** 2 < (x_rival - m) ** 2)
-    s_tail = tail_mean
-    s_force = np.where(forcing_pays, t, m)
-    s_dodge = np.where(forcing_pays, t, np.where(neither, t - 0.1, m))
+    forecasts = {
+        "tail_conditional_mean": tail_mean,
+        "forced_assessment": np.where(forcing_pays, t, m),
+        "threshold_dodge": np.where(forcing_pays, t, np.where(neither, t - 0.1, m)),
+        # the assessed set ignores the submitted forecast and the outcome
+        # distribution is unchanged by conditioning on the rival, so the
+        # optimal strategic submission is the honest mean itself
+        "strategic": m,
+    }
 
     params = {
         "n": n,
@@ -577,72 +615,23 @@ def simulate_hedging(
         "rival_sd": rival_sd,
     }
 
-    def sq(x):
-        return (x - y) ** 2
-
-    def paired(name, strat_forecasts, sel):
-        h_mean, h_se, cnt = _masked_mean(sq(m), sel, "honest")
-        s_mean, s_se, _ = _masked_mean(sq(strat_forecasts), sel, name)
-        d = (sq(m) - sq(strat_forecasts))[sel]
-        gain_se = float(d.std(ddof=1) / math.sqrt(cnt))
-        honest = StrategyResult("honest", cnt, h_mean, h_se, 0.0, 0.0)
-        strat = StrategyResult(name, cnt, s_mean, s_se, float(d.mean()), gain_se)
-        return honest, strat
-
-    if option == 1:
-        sel = y >= t
-        honest, strat = paired("tail_conditional_mean", s_tail, sel)
-        strategies = (strat,)
-    elif option in (2, 3):
-        name = "forced_assessment" if option == 2 else "threshold_dodge"
-        s = s_force if option == 2 else s_dodge
-        sel_h = np.maximum(x_rival, m) >= t
-        sel_s = np.maximum(x_rival, s) >= t
-        if option == 3:
-            sel_h = sel_h | (y >= t)
-            sel_s = sel_s | (y >= t)
-        h_mean, h_se, h_cnt = _masked_mean(sq(m), sel_h, "honest")
-        s_mean, s_se, s_cnt = _masked_mean(sq(s), sel_s, name)
-        honest = StrategyResult("honest", h_cnt, h_mean, h_se, 0.0, 0.0)
-        strategies = (
-            StrategyResult(
-                name, s_cnt, s_mean, s_se,
-                h_mean - s_mean, float(np.hypot(h_se, s_se)),
-            ),
-        )
-    elif option == 4:
-        sel = x_rival >= t
-        h_mean, h_se, cnt = _masked_mean(sq(m), sel, "honest")
-        honest = StrategyResult("honest", cnt, h_mean, h_se, 0.0, 0.0)
-        # the assessed set ignores the submitted forecast and the outcome
-        # distribution is unchanged by conditioning on the rival, so the
-        # optimal strategic submission is the honest mean itself
-        strategies = (StrategyResult("strategic", cnt, h_mean, h_se, 0.0, 0.0),)
-    else:
-        upper = region_generator(squared_error(), RectangularWeight(t, np.inf))
-        base = np.asarray(upper.score(m, y))
-        h_mean = float(base.mean())
-        h_se = float(base.std(ddof=1) / math.sqrt(n))
-        honest = StrategyResult("honest", n, h_mean, h_se, 0.0, 0.0)
-        strategies = []
-        for name, s in (
-            ("tail_conditional_mean", s_tail),
-            ("forced_assessment", s_force),
-            ("threshold_dodge", s_dodge),
-        ):
-            vals = np.asarray(upper.score(s, y))
-            d = base - vals
-            strategies.append(
-                StrategyResult(
-                    name,
-                    n,
-                    float(vals.mean()),
-                    float(vals.std(ddof=1) / math.sqrt(n)),
-                    float(d.mean()),
-                    float(d.std(ddof=1) / math.sqrt(n)),
-                )
-            )
-        strategies = tuple(strategies)
+    note, assessed, score_fn, paired, names = _HEDGING_RULES[option]
+    h_scores = score_fn(m, y, t)
+    sel = assessed(m, y, x_rival, t)
+    h_mean, h_se, cnt = _masked_mean(h_scores, sel, "honest")
+    honest = StrategyResult("honest", cnt, h_mean, h_se, 0.0, 0.0)
+    strategies = []
+    for name in names:
+        s = forecasts[name]
+        s_scores = score_fn(s, y, t)
+        s_sel = sel if paired else assessed(s, y, x_rival, t)
+        s_mean, s_se, s_cnt = _masked_mean(s_scores, s_sel, name)
+        if paired:
+            d = (h_scores - s_scores)[sel]
+            gain, gain_se = float(d.mean()), float(d.std(ddof=1) / math.sqrt(cnt))
+        else:
+            gain, gain_se = h_mean - s_mean, float(np.hypot(h_se, s_se))
+        strategies.append(StrategyResult(name, s_cnt, s_mean, s_se, gain, gain_se))
 
     return HedgingReport(
         option=option,
@@ -650,7 +639,7 @@ def simulate_hedging(
         threshold=t,
         seed=seed,
         params=params,
-        note=_OPTION_NOTES[option],
+        note=note,
         honest=honest,
-        strategies=strategies,
+        strategies=tuple(strategies),
     )

@@ -485,6 +485,7 @@ class NormalizedWeight(WeightFunction):
     """
 
     kind = "normalized"
+    _fields = ("index", "components")
 
     def __init__(self, index, components):
         components = tuple(components)
@@ -741,6 +742,18 @@ def arctan_pair(
 
 # --- configuration parsing -------------------------------------------------
 
+_WEIGHT_KINDS = {
+    cls.kind: cls
+    for cls in (
+        RectangularWeight,
+        TrapezoidalWeight,
+        ArctanUpperWeight,
+        ArctanLowerWeight,
+        TabulatedWeight,
+        NormalizedWeight,
+    )
+}
+
 _NUM_STRINGS = {"inf": _INF, "+inf": _INF, "-inf": -_INF}
 
 
@@ -767,58 +780,38 @@ def _parse_weight(entry, field: str, allow_normalized: bool = True) -> WeightFun
     if not isinstance(entry, dict):
         raise ValidationError(f"{field}: weight entry must be an object")
     kind = entry.get("kind")
-    known = {
-        "rectangular",
-        "trapezoidal",
-        "arctan_upper",
-        "arctan_lower",
-        "tabulated",
-        "normalized",
-    }
-    if kind not in known:
+    cls = _WEIGHT_KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
         raise ValidationError(
-            f"{field}.kind: unknown kind {kind!r}, expected one of {sorted(known)}"
+            f"{field}.kind: unknown kind {kind!r}, "
+            f"expected one of {sorted(_WEIGHT_KINDS)}"
         )
-
-    def need(name):
+    if cls is NormalizedWeight and not allow_normalized:
+        raise ValidationError(f"{field}: normalized weights cannot be nested")
+    unknown = set(entry) - {"kind", *cls._fields}
+    if unknown:
+        raise ValidationError(f"{field}: unknown fields {sorted(unknown)}")
+    for name in cls._fields:
         if name not in entry:
             raise ValidationError(f"{field}.{name}: missing required field")
-        return entry[name]
-
-    if kind == "rectangular":
-        return RectangularWeight(
-            _num_in(need("a"), f"{field}.a"), _num_in(need("b"), f"{field}.b")
-        )
-    if kind == "trapezoidal":
-        return TrapezoidalWeight(
-            _num_in(need("a"), f"{field}.a"),
-            _num_in(need("b"), f"{field}.b"),
-            _num_in(need("c"), f"{field}.c"),
-            _num_in(need("d"), f"{field}.d"),
-        )
-    if kind in ("arctan_upper", "arctan_lower"):
-        cls = ArctanUpperWeight if kind == "arctan_upper" else ArctanLowerWeight
-        return cls(_num_in(need("center"), f"{field}.center"))
-    if kind == "tabulated":
-        bps = need("breakpoints")
-        vals = need("values")
+    if cls is TabulatedWeight:
+        bps, vals = entry["breakpoints"], entry["values"]
         if not isinstance(bps, list) or not isinstance(vals, list):
             raise ValidationError(f"{field}: breakpoints and values must be lists")
         return TabulatedWeight(
             [_num_in(v, f"{field}.breakpoints[{i}]") for i, v in enumerate(bps)],
             [_num_in(v, f"{field}.values[{i}]") for i, v in enumerate(vals)],
         )
-    # normalized
-    if not allow_normalized:
-        raise ValidationError(f"{field}: normalized weights cannot be nested")
-    comps = need("components")
+    if cls is not NormalizedWeight:
+        return cls(*(_num_in(entry[name], f"{field}.{name}") for name in cls._fields))
+    comps = entry["components"]
     if not isinstance(comps, list) or not comps:
         raise ValidationError(f"{field}.components: expected a non-empty list")
     parsed = [
         _parse_weight(c, f"{field}.components[{i}]", allow_normalized=False)
         for i, c in enumerate(comps)
     ]
-    idx = need("index")
+    idx = entry["index"]
     if not isinstance(idx, int) or isinstance(idx, bool):
         raise ValidationError(f"{field}.index: expected an integer")
     return NormalizedWeight(idx, parsed)

@@ -1,5 +1,7 @@
 """Comparison reports, synthetic data, helpers, and the hedging model."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,17 @@ def test_compare_rejects_mismatched_cases():
         )
     with pytest.raises(ValidationError):
         compare(base, base, squared_error(), ci="magic")
+
+
+def test_many_mismatched_ids_raise_quickly_with_both_counts():
+    n = 50_000
+    y = np.zeros(n)
+    cases_a = _cases([f"a{i}" for i in range(n)], y, y)
+    cases_b = _cases([f"b{i}" for i in range(n)], y, y)
+    start = time.perf_counter()
+    with pytest.raises(ValidationError, match=f"{n} ids missing .*, {n} extra"):
+        compare(cases_a, cases_b, squared_error())
+    assert time.perf_counter() - start < 5.0
 
 
 def test_compare_bootstrap_deterministic():

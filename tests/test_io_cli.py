@@ -329,6 +329,76 @@ def test_cli_help_states_no_library_default(capsys):
         assert not re.search(r"\(default\s+\d", text), command
 
 
+def _run_with_config(tmp_path, command, cfg, *flags):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return main([command, "--config", str(path), *flags])
+
+
+def test_cli_config_keys_are_the_subcommands_flags(tmp_path, capsys):
+    inp = tmp_path / "in.csv"
+    _write_cases(inp, [["a", 12, 8], ["b", 5, 7]])
+    base = {"functional": "quantile", "input": str(inp), "out": str(tmp_path / "o")}
+    # a misspelled key, a dashed key and a key of another subcommand
+    for key in ("aplha", "bootstrap-samples", "ci"):
+        assert _run_with_config(tmp_path, "score", {**base, key: 0.9}) == 2
+        err = capsys.readouterr().err
+        assert f"unknown config key {key!r} for score" in err
+    assert not list(tmp_path.glob("o.*"))
+    # a value goes through its flag's choices and type
+    for cfg, message in (
+        ({"ci": "median"}, "invalid choice 'median'"),
+        ({"functional": "mode"}, "invalid choice 'mode'"),
+        ({"generator": "cubic"}, "invalid choice 'cubic'"),
+        ({"alpha": "high"}, "'alpha' for compare: invalid value 'high'"),
+        ({"seed": 2.5}, "'seed' for compare: invalid value 2.5"),
+        ({"bootstrap_samples": 1e999}, "invalid value inf"),
+        ({"labels": "A"}, "labels must be two"),
+    ):
+        assert _run_with_config(tmp_path, "compare", {**base, **cfg}) == 2
+        assert message in capsys.readouterr().err, cfg
+    # an integral float is an integer, and a given flag overrides the config
+    argv = ["hedge", "--option", "4", "--seed", "1", "--out", str(tmp_path / "f")]
+    assert main(argv) == 0
+    cfg = {"option": 4.0, "n": 8000.0, "seed": 9, "out": str(tmp_path / "c")}
+    assert _run_with_config(tmp_path, "hedge", cfg, "--seed", "1", "--n", "8000") == 0
+    flagged = (tmp_path / "f.hedge.json").read_bytes()
+    assert (tmp_path / "c.hedge.json").read_bytes() == flagged
+
+
+def test_cli_grid_labels_and_generator_read_alike_from_flags_and_config(tmp_path):
+    assert main(["synth", "--n", "300", "--seed", "2", "--out", str(tmp_path / "d")]) == 0
+    paired = str(tmp_path / "d.cases.csv")
+    spec = ["--functional", "huber_mean", "--nu", "2", "--input", paired]
+    runs = (
+        (
+            "murphy",
+            ("murphy.csv", "murphy.json"),
+            ["--grid=-5,40,17", "--labels", "x,y"],
+            {"grid": "-5,40,17", "labels": "x,y"},
+            {"grid": [-5, 40, 17], "labels": ["x", "y"]},
+        ),
+        (
+            "compare",
+            ("report.json",),
+            ["--labels", "x,y", "--generator", "scaled_quadratic_phi"],
+            {"labels": "x,y", "generator": "scaled_quadratic_phi"},
+            {"labels": ["x", "y"], "generator": "scaled_quadratic_phi"},
+        ),
+    )
+    for command, suffixes, flags, *configs in runs:
+        assert main([command, *spec, *flags, "--out", str(tmp_path / "f")]) == 0
+        expected = _digests(tmp_path / "f", suffixes)
+        for i, cfg in enumerate(configs):
+            cfg = {"functional": "huber_mean", "nu": 2, "input": paired, **cfg}
+            out = str(tmp_path / f"c{i}")
+            assert _run_with_config(tmp_path, command, {**cfg, "out": out}) == 0
+            assert _digests(out, suffixes) == expected, (command, cfg)
+    # the generator is read: the default one gives another report
+    assert main(["compare", *spec, "--labels", "x,y", "--out", str(tmp_path / "g")]) == 0
+    assert _digests(tmp_path / "g", ("report.json",)) != expected
+
+
 def test_cli_compare_on_synth_output(tmp_path):
     assert main(["synth", "--n", "400", "--seed", "5", "--out", str(tmp_path / "d")]) == 0
     rc = main(
@@ -406,6 +476,18 @@ def test_cli_hedge_writes_report(tmp_path):
     rep = json.loads(open(tmp_path / "h.hedge.json").read())
     assert rep["option"] == 4
     assert rep["strategies"][0]["gain"] == 0.0
+    pins = {
+        1: "073ab2b598714eed11559c7370d3770e5734b130c7de59ffe726657a7c1b92d9",
+        2: "53706d1670a6c38e81fa157d4b309928453d18d0789af174ea7bc42f9f3907ee",
+        3: "e290b9aa26c5f02bf2afd46ebb24863984055b79e144b3c3f14a36ef30472d7a",
+        4: "441d62dc44ec538f759fe15cdaf05351c1b43da77662ac8a0c646947be27020f",
+        5: "d5d56a9908407abe8e2bc8cdd6f18c7cc0bcb0bf1d0de1638cb588224f8371c0",
+    }
+    for option, digest in pins.items():
+        out = tmp_path / f"h{option}"
+        argv = ["hedge", "--option", str(option), "--n", "2000", "--seed", "1"]
+        assert main([*argv, "--out", str(out)]) == 0
+        assert _digests(out, ("hedge.json",)) == {"hedge.json": digest}, option
 
 
 def test_cli_validate_partition_exit_codes(tmp_path, capsys):
@@ -426,6 +508,12 @@ def test_cli_validate_partition_exit_codes(tmp_path, capsys):
     )
     assert main(["validate-partition", "--partition", str(bad)]) == 2
     assert "INVALID" in capsys.readouterr().out
+    # a weight entry field that its kind does not define
+    bad.write_text(
+        json.dumps({"weights": [{"kind": "rectangular", "a": "-inf", "b": 0, "center": 3}]})
+    )
+    assert main(["validate-partition", "--partition", str(bad)]) == 2
+    assert "weights[0]: unknown fields ['center']" in capsys.readouterr().err
 
 
 def test_cli_error_exit_codes(tmp_path, capsys):

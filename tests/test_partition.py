@@ -325,10 +325,27 @@ def test_config_errors_cite_field():
                 ]
             }
         )
-    with pytest.raises(ValidationError, match="kind"):
-        parse_partition_config({"weights": [{"kind": "hexagonal"}]})
+    for kind in ("hexagonal", ["rectangular"]):
+        with pytest.raises(ValidationError, match="kind"):
+            parse_partition_config({"weights": [{"kind": kind}]})
     with pytest.raises(ValidationError, match="object"):
         parse_partition_config([1, 2, 3])
+    # a weight entry, nested or not, holds only its kind's fields
+    rect = {"kind": "rectangular", "a": "-inf", "b": 0}
+    upper = {"kind": "rectangular", "a": 0, "b": "inf"}
+    with pytest.raises(ValidationError, match=r"weights\[0\]: unknown fields \['center'\]"):
+        parse_partition_config({"weights": [{**rect, "center": 3}, upper]})
+    nested = {
+        "kind": "normalized",
+        "index": 0,
+        "components": [{"kind": "arctan_upper", "center": 1, "b": 2}],
+    }
+    with pytest.raises(
+        ValidationError, match=r"weights\[0\]\.components\[0\]: unknown fields \['b'\]"
+    ):
+        parse_partition_config({"weights": [nested]})
+    with pytest.raises(ValidationError, match=r"weights\[0\]: unknown fields \['scale'\]"):
+        parse_partition_config({"weights": [{**nested, "scale": 2}]})
 
 
 def test_config_file_errors(tmp_path):
