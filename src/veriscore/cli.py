@@ -26,13 +26,15 @@ re-deriving a summary from a written cases file reproduces it exactly.
 A short human-readable summary is printed to stdout.
 
 Exit codes: 0 on success, 2 for invalid inputs or configuration, 3
-when numerical integration cannot reach its accuracy target.
+when numerical integration cannot reach its accuracy target or a score
+is not finite (no output file is written then).
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import re
 import sys
 from pathlib import Path
 
@@ -47,6 +49,7 @@ from .evaluation import (
     case_scores,
     compare,
     generate_synthetic,
+    require_finite,
     simulate_hedging,
 )
 from .io import (
@@ -226,6 +229,11 @@ def _cmd_murphy(args) -> int:
     out = _require(args, "out")
     if (args.input is None) == (args.inputs is None):
         raise ValidationError("pass exactly one of --input (paired) or --inputs")
+    if args.inputs is not None and args.labels is not None:
+        raise ValidationError(
+            "--labels names the systems of --input; --inputs takes its names "
+            "from the file names"
+        )
     if args.input is not None:
         named = zip(args.labels or ("A", "B"), read_paired_csv(args.input))
     else:
@@ -253,6 +261,7 @@ def _cmd_crps(args) -> int:
     y = ensembles.observations
     totals = crps(ensembles, y)
     comps = None if partition is None else crps_components(ensembles, y, partition)
+    require_finite(ensembles.ids, totals, comps)
     return _write_scores(out, ensembles.ids, {"kind": "crps"}, partition, totals, comps)
 
 
@@ -386,9 +395,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Join ``--flag -5,40,17`` into ``--flag=-5,40,17``.
+
+    argparse reads a value that starts with '-' and is not a plain
+    number, such as a grid with a negative lower end, as the next flag.
+    No flag here starts with '-' and a digit, so such a value belongs to
+    the flag before it.
+    """
+    out = []
+    for arg in argv:
+        if out and re.match(r"-\.?\d", arg) and re.fullmatch(r"--[\w-]+", out[-1]):
+            out[-1] += f"={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(_attach_negative_values(argv))
         if args.config is not None:
             _merge_config(args, read_json(args.config))
         return args.handler(args)

@@ -20,9 +20,10 @@ score is piecewise linear in theta on half-open pieces: [y, x) or
 Huber means.  The piece ends are sorted once per system and the grid
 is located in them, so the active count at each threshold is an
 integer difference, and the linear part sums count * theta - sum y.
-Those sums are exact: y is cut into integer slices on a shared
-power-of-two grid, whose float prefix sums cannot round, and the
-slices are recombined as Python integers at the grid points only.
+Those sums are exact: y is cut into integer slices on shared
+power-of-two grids (``veriscore.exact``), whose float prefix sums
+cannot round, and the slices are recombined as Python integers at the
+grid points only.
 Each mean is then one correctly rounded division of the exact mean of
 the elementary scores (rates 1 - alpha, alpha and nu / 2 as floats).
 It is exactly 0.0 where no case is active and never negative.  Time is
@@ -43,6 +44,7 @@ import numpy as np
 
 from .decomposition import region_generator
 from .errors import ValidationError
+from .exact import as_int, slices
 from .io import _write_table, fmt12, write_json
 from .partition import WeightFunction
 from .scoring import FUNCTIONALS, ScoringSpec, score
@@ -218,24 +220,12 @@ def _exact_sums(ys, s_order, s_count, e_order, e_count):
 
     Active pieces are the first s_count of ys[s_order] less the first
     e_count of ys[e_order].  Returns levels [(d, b)], the sums being
-    sum(d * 2**b).  A level slices ys into integers below 2**bits times
-    2**b, bits = 53 - bit_length(n): no prefix sum of n can round.
+    sum(d * 2**b): on ``exact.slices`` of ys no prefix sum can round.
     """
-    bits = 53 - ys.size.bit_length()
-    b = int(np.frexp(np.abs(ys).max())[1]) - bits
-    rest = ys.copy()
-    levels = []
-    while rest.any():
-        q = np.trunc(np.ldexp(rest, -b))
-        rest -= np.ldexp(q, b)
-        levels.append((_prefix(q[s_order], s_count) - _prefix(q[e_order], e_count), b))
-        b = max(b - bits, -1074)
-    return levels
-
-
-def _as_int(values, shift):
-    """Integer-valued floats as Python ints, shifted left elementwise."""
-    return values.astype(np.int64).astype(object) << shift
+    return [
+        (_prefix(q[s_order], s_count) - _prefix(q[e_order], e_count), b)
+        for q, b in zip(*slices(ys, ys.size))
+    ]
 
 
 def _sweep_means(functional, thresholds, x, y, alpha, nu) -> np.ndarray:
@@ -259,7 +249,7 @@ def _sweep_means(functional, thresholds, x, y, alpha, nu) -> np.ndarray:
         [0, int(texp.min()) - 53]
         + [b for _, _, levels in terms for _, b in levels or ()]
     )
-    theta = _as_int(np.ldexp(mant, 53), texp - 53 - unit)
+    theta = as_int(np.ldexp(mant, 53), texp - 53 - unit)
     den = max([1] + [rate.as_integer_ratio()[1] for rate, _, _ in terms])
     num = np.zeros(thresholds.size, dtype=object)
     for rate, count, levels in terms:
@@ -268,7 +258,7 @@ def _sweep_means(functional, thresholds, x, y, alpha, nu) -> np.ndarray:
         if levels is None:
             value = count << -unit
         else:
-            value = count * theta - sum(_as_int(d, b - unit) for d, b in levels)
+            value = count * theta - sum(as_int(d, b - unit) for d, b in levels)
         num += p * (den // q) * value
     # int / int is correctly rounded
     return (num / ((x.size * den) << -unit)).astype(float)

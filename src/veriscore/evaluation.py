@@ -37,6 +37,7 @@ import numpy as np
 
 from .decomposition import decompose, region_generator, score_components
 from .errors import NumericError, ValidationError
+from .exact import as_int, slices
 from .io import CaseSet, round12
 from .partition import PartitionOfUnity, RectangularWeight, partition_config
 from .scoring import ScoringSpec, score, squared_error
@@ -82,20 +83,36 @@ def case_scores(spec: ScoringSpec, cases: CaseSet, partition=None):
 
     Returns (totals, components) where totals has one entry per case
     and components has one row per partition member, or None.  A
-    quadrature failure is re-raised as NumericError, and a value outside
-    the partition's domain raises ValidationError, naming the case id.
+    quadrature failure or a score that is not finite raises
+    NumericError, and a value outside the partition's domain raises
+    ValidationError, naming the case id.
     """
     x, y = cases.forecasts, cases.observations
+    comps = None
     try:
         totals = np.asarray(score(spec, x, y))
-        if partition is None:
-            return totals, None
-        partition.domain.require(x, "forecast", cases.ids)
-        partition.domain.require(y, "observation", cases.ids)
-        comps = score_components(decompose(spec, partition), x, y)
+        if partition is not None:
+            partition.domain.require(x, "forecast", cases.ids)
+            partition.domain.require(y, "observation", cases.ids)
+            comps = score_components(decompose(spec, partition), x, y)
     except NumericError as exc:
         raise NumericError(f"case {cases.ids[exc.index]}: {exc}") from exc
+    require_finite(cases.ids, totals, comps)
     return totals, comps
+
+
+def require_finite(ids, totals, comps=None) -> None:
+    """Raise NumericError naming the first case whose score is not finite."""
+    finite = np.isfinite(totals)
+    if comps is not None:
+        finite &= np.isfinite(comps).all(axis=0)
+    if finite.all():
+        return
+    i = int(np.argmin(finite))
+    column = np.concatenate([[totals[i]], [] if comps is None else comps[:, i]])
+    j = int(np.argmin(np.isfinite(column)))
+    what = "total" if j == 0 else f"component {j - 1}"
+    raise NumericError(f"case {ids[i]}: {what} is {column[j]}, not a finite score")
 
 
 @dataclass(frozen=True)
@@ -215,7 +232,7 @@ def _align(cases_a: CaseSet, cases_b: CaseSet) -> CaseSet:
     return aligned
 
 
-BOOTSTRAP_CHUNK_BYTES = 64 << 20  # memory for one chunk of bootstrap resamples
+BOOTSTRAP_CHUNK_BYTES = 32 << 20  # memory for one chunk of resample counts
 
 
 def _normal_ci(rows: np.ndarray, level_z: float = 1.96):
@@ -227,22 +244,35 @@ def _normal_ci(rows: np.ndarray, level_z: float = 1.96):
     return np.column_stack([means - half, means + half])
 
 
-def _bootstrap_ci(rows: np.ndarray, samples: int, rng: np.random.Generator):
+def _resample_means(rows: np.ndarray, samples: int, rng: np.random.Generator):
+    """(samples, m) means of the rows over case resamples, each correctly rounded.
+
+    A resample's means are its case counts c times the rows, over n.  On
+    integer slices (``veriscore.exact``) every c . q is an integer below
+    2**53, so one float matrix product per chunk of resamples is exact.
+    """
     m, n = rows.shape
-    if n < 2:
+    q, exps = slices(rows, n)
+    q = q.reshape(-1, n)
+    unit = min([0] + exps)
+    counts = np.empty((max(1, min(samples, BOOTSTRAP_CHUNK_BYTES // (8 * n))), n))
+    means = np.empty((samples, m))
+    for done in range(0, samples, len(counts)):
+        c = counts[: samples - done]
+        for row in c:  # the index stream does not depend on the chunking
+            row[:] = np.bincount(rng.integers(0, n, size=n), minlength=n)
+        sums = (c @ q.T).reshape(len(c), len(exps), m)
+        num = sum(as_int(sums[:, k], b - unit) for k, b in enumerate(exps))
+        means[done : done + len(c)] = num / (n << -unit)  # int / int rounds once
+    return means
+
+
+def _bootstrap_ci(rows: np.ndarray, samples: int, rng: np.random.Generator):
+    if rows.shape[1] < 2:
         raise ValidationError("confidence intervals need at least 2 cases")
-    stats = np.empty((samples, m))
-    # one resample holds n int64 indices and m x n gathered floats; the
-    # index stream and each resample's mean do not depend on the chunking
-    chunk = max(1, BOOTSTRAP_CHUNK_BYTES // (8 * (m + 1) * n))
-    done = 0
-    while done < samples:
-        b = min(chunk, samples - done)
-        idx = rng.integers(0, n, size=(b, n))
-        stats[done : done + b] = rows[:, idx].mean(axis=2).T
-        done += b
-    lo = np.percentile(stats, 2.5, axis=0)
-    hi = np.percentile(stats, 97.5, axis=0)
+    means = _resample_means(rows, samples, rng)
+    lo = np.percentile(means, 2.5, axis=0)
+    hi = np.percentile(means, 97.5, axis=0)
     return np.column_stack([lo, hi])
 
 

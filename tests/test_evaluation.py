@@ -151,7 +151,7 @@ def test_bootstrap_bounds_do_not_depend_on_the_chunk_budget(monkeypatch):
         return np.vstack([rep.ci_total, rep.ci_components]).tobytes()
 
     default = bounds()  # every resample in one chunk
-    for budget in (1, 3 * 8 * 4 * n):  # chunks of 1 and of 3 resamples
+    for budget in (1, 3 * 8 * n):  # chunks of 1 and of 3 resamples
         monkeypatch.setattr(evaluation, "BOOTSTRAP_CHUNK_BYTES", budget)
         assert bounds() == default
 

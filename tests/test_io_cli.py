@@ -603,6 +603,69 @@ def test_cli_values_outside_the_domain_name_the_case(tmp_path, capsys):
     assert not list(tmp_path.glob("out*"))
 
 
+def test_cli_scores_that_are_not_finite_exit_3_before_any_file(tmp_path, capsys):
+    # (1e200 - 0)**2 overflows; so does the CRPS segment from -1.7e308 to 1.7e308
+    (tmp_path / "cases.csv").write_text("case_id,forecast,obs\nc0,1,2\nc1,1e200,0\n")
+    (tmp_path / "paired.csv").write_text(
+        "case_id,forecast_a,forecast_b,obs\nc0,1,2,3\nc1,1,1e200,0\n"
+    )
+    (tmp_path / "ens.csv").write_text(
+        "case_id,obs,m1,m2\nc0,1,0,2\nc1,-1.7e308,1.7e308,1.7e308\n"
+    )
+    part = tmp_path / "part.json"
+    part.write_text('{"cutpoints": [0]}')
+    spec = ["--functional", "expectile", "--alpha", "0.5"]
+    for argv in (
+        ["score", *spec, "--input", "cases.csv"],
+        ["score", *spec, "--partition", str(part), "--input", "cases.csv"],
+        ["compare", *spec, "--input", "paired.csv"],
+        ["compare", *spec, "--ci", "bootstrap", "--partition", str(part),
+         "--input", "paired.csv"],
+        ["crps", "--input", "ens.csv"],
+        ["crps", "--partition", str(part), "--input", "ens.csv"],
+    ):
+        argv = [*argv[:-1], str(tmp_path / argv[-1]), "--out", str(tmp_path / "out")]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(argv) == 3, argv
+        err = capsys.readouterr().err
+        assert err.startswith("numeric error: case c1: ") and "not a finite score" in err
+        assert not list(tmp_path.glob("out*")), argv
+
+
+def test_cli_negative_grid_reads_alike_spaced_joined_and_from_config(tmp_path):
+    assert main(["synth", "--n", "300", "--seed", "2", "--out", str(tmp_path / "d")]) == 0
+    base = ["murphy", "--functional", "quantile", "--alpha", "0.3",
+            "--input", str(tmp_path / "d.cases.csv")]
+    suffixes = ("murphy.csv", "murphy.json")
+    assert main([*base, "--grid", "-5,40,17", "--out", str(tmp_path / "s")]) == 0
+    expected = _digests(tmp_path / "s", suffixes)
+    assert main([*base, "--grid=-5,40,17", "--out", str(tmp_path / "j")]) == 0
+    assert _digests(tmp_path / "j", suffixes) == expected
+    cfg = {"functional": "quantile", "alpha": 0.3, "grid": "-5,40,17",
+           "input": str(tmp_path / "d.cases.csv"), "out": str(tmp_path / "c")}
+    assert _run_with_config(tmp_path, "murphy", cfg) == 0
+    assert _digests(tmp_path / "c", suffixes) == expected
+    meta = json.loads((tmp_path / "s.murphy.json").read_text())
+    assert meta["grid"] == {"lo": -5.0, "hi": 40.0, "n": 17}
+
+
+def test_cli_murphy_labels_with_named_inputs_exit_2(tmp_path, capsys):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    _write_cases(a, [["c0", 1.0, 2.0], ["c1", 3.0, 2.5]])
+    _write_cases(b, [["c0", 1.5, 2.0], ["c1", 2.0, 2.5]])
+    out = str(tmp_path / "m")
+    argv = ["murphy", "--functional", "quantile", "--alpha", "0.5",
+            "--inputs", str(a), str(b), "--out", out]
+    assert main([*argv, "--labels", "x,y"]) == 2
+    assert "--labels names the systems of --input" in capsys.readouterr().err
+    cfg = {"functional": "quantile", "alpha": 0.5, "inputs": [str(a), str(b)],
+           "labels": "x,y", "out": out}
+    assert _run_with_config(tmp_path, "murphy", cfg) == 2
+    assert "--labels names the systems of --input" in capsys.readouterr().err
+    assert not list(tmp_path.glob("m.*"))
+    assert main(argv) == 0
+
+
 def test_cli_negative_seed_exits_2(tmp_path, capsys):
     paired = tmp_path / "paired.csv"
     paired.write_text("case_id,forecast_a,forecast_b,obs\nc1,1,2,3\nc2,2,1,0.5\nc3,0,1,2\n")
