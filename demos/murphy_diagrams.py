@@ -53,7 +53,7 @@ print("their error structures swap.")
 print()
 print("Integrating a curve against a mixing density recovers a mean score.")
 spec = squared_error()
-areas = murphy_area(curve, density=spec.generator.second_derivative)
+areas = murphy_area(curve, density=spec.generator.density)
 for i, name in enumerate(curve.names):
     x = {"low_skill_high": sys_l, "high_skill_high": sys_h}[name]
     direct = float(np.mean(score(spec, x, y)))

@@ -259,8 +259,10 @@ def _cmd_crps(args) -> int:
     ensembles = read_ensemble_csv(_require(args, "input"))
     out = _require(args, "out")
     y = ensembles.observations
-    totals = crps(ensembles, y)
-    comps = None if partition is None else crps_components(ensembles, y, partition)
+    # an overflow shows as a score that require_finite names, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        totals = crps(ensembles, y)
+        comps = None if partition is None else crps_components(ensembles, y, partition)
     require_finite(ensembles.ids, totals, comps)
     return _write_scores(out, ensembles.ids, {"kind": "crps"}, partition, totals, comps)
 
@@ -334,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     spec = [
         flag("--functional", "functional being forecast", choices=list(FUNCTIONALS)),
         flag("--alpha", "quantile or expectile level in (0,1)", type=float),
-        flag("--nu", "positive Huber cap", type=float),
+        flag("--nu", "positive finite Huber cap", type=float),
     ]
     generator = flag(
         "--generator",

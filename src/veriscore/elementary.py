@@ -47,7 +47,7 @@ from .errors import ValidationError
 from .exact import as_int, slices
 from .io import _write_table, fmt12, write_json
 from .partition import WeightFunction
-from .scoring import FUNCTIONALS, ScoringSpec, score
+from .scoring import ScoringSpec, check_parameters, score
 
 __all__ = [
     "elementary_score",
@@ -61,26 +61,6 @@ __all__ = [
 ]
 
 
-def _check_params(functional: str, alpha, nu) -> tuple:
-    if functional not in FUNCTIONALS:
-        raise ValidationError(
-            f"unknown functional {functional!r}, expected one of {FUNCTIONALS}"
-        )
-    if functional in ("quantile", "expectile"):
-        if alpha is None:
-            raise ValidationError(f"{functional} elementary score needs alpha")
-        alpha = float(alpha)
-        if not 0.0 < alpha < 1.0:
-            raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
-        return alpha, None
-    if nu is None:
-        raise ValidationError(f"{functional} elementary score needs nu")
-    nu = float(nu)
-    if not (np.isfinite(nu) and nu > 0.0):
-        raise ValidationError(f"nu must be positive and finite, got {nu}")
-    return None, nu
-
-
 def elementary_score(functional: str, theta, x, y, *, alpha=None, nu=None):
     """Elementary score at threshold theta, broadcast over all inputs.
 
@@ -91,7 +71,7 @@ def elementary_score(functional: str, theta, x, y, *, alpha=None, nu=None):
     |y - theta|, and Huber means charge the distance capped at nu and
     halved.
     """
-    alpha, nu = _check_params(functional, alpha, nu)
+    check_parameters(functional, alpha, nu)
     theta = np.asarray(theta, dtype=float)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -294,7 +274,9 @@ def murphy_curve(
     names = tuple(name for name, _ in items)
     if len(set(names)) != len(names):
         raise ValidationError(f"duplicate system names in {names}")
-    alpha_v, nu_v = _check_params(functional, alpha, nu)
+    check_parameters(functional, alpha, nu)
+    alpha_v = None if alpha is None else float(alpha)
+    nu_v = None if nu is None else float(nu)
     data = [_as_xy(cases) for _, cases in items]
     thresholds = _resolve_grid(
         grid,

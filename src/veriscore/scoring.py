@@ -1,19 +1,24 @@
 """Consistent scoring functions for quantiles, expectiles, and Huber means.
 
 Each family is parameterized by a generator: a nondecreasing function g
-for quantiles, a convex function phi (with derivative) for expectiles
-and Huber means.  With indicator ind = 1 when y < x:
+for quantiles, a convex function phi for expectiles and Huber means.
+With indicator ind = 1 when y < x:
 
 * quantile level alpha:   (ind - alpha) * (g(x) - g(y))
 * expectile level alpha:  |ind - alpha| * (phi(y) - phi(x) - phi'(x)(y - x))
 * Huber mean, cap nu:     0.5 * (phi(y) - phi(k + y) + k * phi'(x)),
   where k = cap(x - y, nu) clamps to [-nu, nu].
 
-When g' or phi'' is a constant c (``deriv_const``, true of every
+Each score is a mixture of elementary scores with mixing density g' or
+phi'', so a generator is given by that density alone; g and phi follow
+from it up to affine terms that no score can see.  ``check_parameters``
+is the one rule for (functional, alpha, nu).
+
+When the density is a constant c (``deriv_const``, true of every
 built-in generator), ``score`` takes the brackets in difference form,
 c(x - y), c(x - y)^2 / 2 and c k (2(x - y) - k) / 2, exact at any
 magnitude of x and y.  Any other generator is scored by
-``moment_score``: quadrature of g' or phi'' in coordinates local to y,
+``moment_score``: quadrature of the density in coordinates local to y,
 the same forms its region components use, so the total does not cancel
 at large magnitude either.
 
@@ -45,6 +50,7 @@ __all__ = [
     "score",
     "functional_value",
     "check_generator",
+    "check_parameters",
     "quantile_score",
     "absolute_error",
     "expectile_score",
@@ -62,96 +68,57 @@ def cap(value, nu):
     return np.clip(value, -nu, nu)
 
 
+def _constant(c: float) -> Callable:
+    return lambda t: np.full_like(np.asarray(t, dtype=float), c)
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """A generator g or phi together with the derivatives a family needs.
+    """A generator g or phi, given by its mixing density.
 
-    ``family`` is "g" (quantile generators, needing g and g') or "phi"
-    (expectile and Huber generators, needing phi, phi', phi'').  The
-    score is a mixture of elementary scores with mixing density
-    ``density``: g' or phi''.  When that density is a known constant,
-    ``deriv_const`` records it; region decompositions then have exact
-    closed forms.
+    ``family`` is "g" (quantile generators) or "phi" (expectile and
+    Huber generators).  ``density`` is g' or phi'': the score is a
+    mixture of elementary scores with that mixing density.  When the
+    density is a known constant, ``deriv_const`` records it; region
+    decompositions then have exact closed forms.
     """
 
     kind: str
     family: str
-    value: Callable
-    derivative: Callable
-    second_derivative: Callable | None = None
+    density: Callable
     deriv_const: float | None = None
-
-    @property
-    def density(self) -> Callable | None:
-        """The mixing density: g' for the g family, phi'' for the phi family."""
-        return self.derivative if self.family == "g" else self.second_derivative
 
     @staticmethod
     def identity_g() -> "GeneratorSpec":
-        return GeneratorSpec(
-            kind="identity_g",
-            family="g",
-            value=lambda t: np.asarray(t, dtype=float),
-            derivative=lambda t: np.ones_like(np.asarray(t, dtype=float)),
-            deriv_const=1.0,
-        )
+        return GeneratorSpec("identity_g", "g", _constant(1.0), deriv_const=1.0)
 
     @staticmethod
     def quadratic_phi() -> "GeneratorSpec":
-        return GeneratorSpec(
-            kind="quadratic_phi",
-            family="phi",
-            value=lambda t: np.square(np.asarray(t, dtype=float)),
-            derivative=lambda t: 2.0 * np.asarray(t, dtype=float),
-            second_derivative=lambda t: np.full_like(
-                np.asarray(t, dtype=float), 2.0
-            ),
-            deriv_const=2.0,
-        )
+        return GeneratorSpec("quadratic_phi", "phi", _constant(2.0), deriv_const=2.0)
 
     @staticmethod
     def scaled_quadratic_phi() -> "GeneratorSpec":
         return GeneratorSpec(
-            kind="scaled_quadratic_phi",
-            family="phi",
-            value=lambda t: 2.0 * np.square(np.asarray(t, dtype=float)),
-            derivative=lambda t: 4.0 * np.asarray(t, dtype=float),
-            second_derivative=lambda t: np.full_like(
-                np.asarray(t, dtype=float), 4.0
-            ),
-            deriv_const=4.0,
+            "scaled_quadratic_phi", "phi", _constant(4.0), deriv_const=4.0
         )
 
     @staticmethod
-    def custom_g(g, g_prime, *, deriv_const=None) -> "GeneratorSpec":
-        """Custom quantile generator; g must be nondecreasing."""
-        return GeneratorSpec(
-            kind="custom",
-            family="g",
-            value=g,
-            derivative=g_prime,
-            deriv_const=deriv_const,
-        )
+    def custom_g(g_prime, *, deriv_const=None) -> "GeneratorSpec":
+        """Custom quantile generator g, given by g' >= 0."""
+        return GeneratorSpec("custom", "g", g_prime, deriv_const)
 
     @staticmethod
-    def custom_phi(phi, phi_prime, phi_second, *, deriv_const=None) -> "GeneratorSpec":
-        """Custom expectile or Huber generator; phi must be convex."""
-        return GeneratorSpec(
-            kind="custom",
-            family="phi",
-            value=phi,
-            derivative=phi_prime,
-            second_derivative=phi_second,
-            deriv_const=deriv_const,
-        )
+    def custom_phi(phi_second, *, deriv_const=None) -> "GeneratorSpec":
+        """Custom expectile or Huber generator phi, given by phi'' >= 0."""
+        return GeneratorSpec("custom", "phi", phi_second, deriv_const)
 
 
 def check_generator(gen: GeneratorSpec) -> None:
     """Probe monotonicity (g) or convexity (phi) on [-100, 100]; raise if violated."""
     if gen.family not in ("g", "phi"):
         raise ValidationError(f"unknown generator family {gen.family!r}")
-    if gen.density is None:
-        raise ValidationError("phi generator needs a second derivative")
+    if not callable(gen.density):
+        raise ValidationError(f"generator density {gen.density!r} is not callable")
     grid = np.linspace(-100.0, 100.0, 201)
     d = np.asarray(gen.density(grid), dtype=float)
     if np.any(d < -1e-12):
@@ -162,13 +129,40 @@ def check_generator(gen: GeneratorSpec) -> None:
         )
 
 
+def check_parameters(functional: str, alpha, nu) -> None:
+    """Raise ValidationError unless (functional, alpha, nu) is a valid triple.
+
+    Quantiles and expectiles take a level alpha in (0, 1) and no cap;
+    Huber means take a positive finite cap nu and no level.
+    """
+    if functional not in FUNCTIONALS:
+        raise ValidationError(
+            f"unknown functional {functional!r}, expected one of {FUNCTIONALS}"
+        )
+    if functional in ("quantile", "expectile"):
+        if alpha is None or not 0.0 < alpha < 1.0:
+            raise ValidationError(
+                f"{functional} level alpha must lie in (0, 1), got {alpha!r}"
+            )
+        if nu is not None:
+            raise ValidationError(f"{functional} takes no cap nu")
+    else:
+        if nu is None or not 0.0 < nu < math.inf:
+            raise ValidationError(
+                f"Huber cap nu must be positive and finite, got {nu!r}"
+            )
+        if alpha is not None:
+            raise ValidationError("huber_mean takes no level alpha")
+
+
 @dataclass(frozen=True)
 class ScoringSpec:
     """A functional plus the generator that scores it.
 
     ``alpha`` is the quantile or expectile level in (0, 1); ``nu`` is
-    the positive Huber cap.  The generator family must match the
-    functional: "g" for quantiles, "phi" otherwise.
+    the positive finite Huber cap (see ``check_parameters``).  The
+    generator family must match the functional: "g" for quantiles,
+    "phi" otherwise.
     """
 
     functional: str
@@ -177,26 +171,7 @@ class ScoringSpec:
     nu: float | None = None
 
     def __post_init__(self):
-        if self.functional not in FUNCTIONALS:
-            raise ValidationError(
-                f"unknown functional {self.functional!r}, expected one of "
-                f"{FUNCTIONALS}"
-            )
-        if self.functional in ("quantile", "expectile"):
-            if self.alpha is None or not 0.0 < self.alpha < 1.0:
-                raise ValidationError(
-                    f"{self.functional} level alpha must lie in (0, 1), "
-                    f"got {self.alpha!r}"
-                )
-            if self.nu is not None:
-                raise ValidationError(f"{self.functional} takes no cap nu")
-        else:
-            if self.nu is None or not self.nu > 0:
-                raise ValidationError(
-                    f"Huber cap nu must be positive, got {self.nu!r}"
-                )
-            if self.alpha is not None:
-                raise ValidationError("huber_mean takes no level alpha")
+        check_parameters(self.functional, self.alpha, self.nu)
         wanted = "g" if self.functional == "quantile" else "phi"
         if self.generator.family != wanted:
             raise ValidationError(
@@ -292,19 +267,10 @@ class DiscreteDistribution:
         if not math.isclose(total, 1.0, rel_tol=0, abs_tol=1e-9):
             raise ValidationError(f"probabilities sum to {total!r}, expected 1")
         keep = p > 0
-        v, p = v[keep], p[keep]
-        order = np.argsort(v, kind="stable")
-        v, p = v[order], p[order]
-        keep_vals, keep_probs = [v[0]], [p[0]]
-        for vi, pi in zip(v[1:], p[1:]):
-            if vi == keep_vals[-1]:
-                keep_probs[-1] += pi
-            else:
-                keep_vals.append(vi)
-                keep_probs.append(pi)
-        self.values = np.asarray(keep_vals)
-        self.probs = np.asarray(keep_probs)
-        self.probs = self.probs / self.probs.sum()
+        # bincount adds equal values' masses in input order, as a merge would
+        self.values, where = np.unique(v[keep], return_inverse=True)
+        probs = np.bincount(where, weights=p[keep])
+        self.probs = probs / probs.sum()
 
     def __repr__(self):
         return f"DiscreteDistribution({self.values.tolist()}, {self.probs.tolist()})"
@@ -422,11 +388,7 @@ def quantile_score(alpha: float) -> ScoringSpec:
 
 def absolute_error() -> ScoringSpec:
     """|x - y| as the median's scoring function (g(t) = 2t at level 1/2)."""
-    gen = GeneratorSpec.custom_g(
-        lambda t: 2.0 * np.asarray(t, dtype=float),
-        lambda t: np.full_like(np.asarray(t, dtype=float), 2.0),
-        deriv_const=2.0,
-    )
+    gen = GeneratorSpec.custom_g(_constant(2.0), deriv_const=2.0)
     return ScoringSpec("quantile", gen, alpha=0.5)
 
 

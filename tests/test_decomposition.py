@@ -112,9 +112,7 @@ def test_closed_form_flag_and_quadrature_agreement():
     # the latter takes the quadrature path and must agree closely
     fast = expectile_score(0.35)
     slow_gen = GeneratorSpec.custom_phi(
-        lambda t: 2.0 * np.square(np.asarray(t, dtype=float)),
-        lambda t: 4.0 * np.asarray(t, dtype=float),
-        lambda t: np.full_like(np.asarray(t, dtype=float), 4.0),
+        lambda t: np.full_like(np.asarray(t, dtype=float), 4.0)
     )
     slow = ScoringSpec("expectile", slow_gen, alpha=0.35)
     w = TrapezoidalWeight(-1.0, 0.0, 2.0, 4.0)
@@ -155,10 +153,7 @@ def test_zero_width_outer_ramp_matches_rectangular_cells():
 
 
 def test_quadrature_path_quantile_and_huber():
-    slow_g = GeneratorSpec.custom_g(
-        lambda t: np.asarray(t, dtype=float),
-        lambda t: np.ones_like(np.asarray(t, dtype=float)),
-    )
+    slow_g = GeneratorSpec.custom_g(lambda t: np.ones_like(np.asarray(t, dtype=float)))
     pairs = [
         (quantile_score(0.7), ScoringSpec("quantile", slow_g, alpha=0.7)),
         (
@@ -166,9 +161,7 @@ def test_quadrature_path_quantile_and_huber():
             ScoringSpec(
                 "huber_mean",
                 GeneratorSpec.custom_phi(
-                    lambda t: np.square(np.asarray(t, dtype=float)),
-                    lambda t: 2.0 * np.asarray(t, dtype=float),
-                    lambda t: np.full_like(np.asarray(t, dtype=float), 2.0),
+                    lambda t: np.full_like(np.asarray(t, dtype=float), 2.0)
                 ),
                 nu=1.0,
             ),

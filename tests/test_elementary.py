@@ -240,7 +240,7 @@ def test_murphy_area_recovers_mean_score():
     curve = murphy_curve(
         {"S": (x, y)}, "expectile", alpha=0.7, grid=(-6.0, 6.0, 4001)
     )
-    area = murphy_area(curve, density=spec.generator.second_derivative)
+    area = murphy_area(curve, density=spec.generator.density)
     mean_score = score(spec, x, y).mean()
     assert area == pytest.approx(mean_score, rel=5e-3)
     # identity generator: density defaults to one

@@ -632,6 +632,57 @@ def test_cli_scores_that_are_not_finite_exit_3_before_any_file(tmp_path, capsys)
         assert not list(tmp_path.glob("out*")), argv
 
 
+def test_cli_bad_parameters_exit_2_before_any_file(tmp_path, capsys):
+    # an infinite cap, and a cap given to a quantile, from a flag or the config
+    (tmp_path / "cases.csv").write_text("case_id,forecast,obs\nc0,1,2\nc1,3,2.5\n")
+    (tmp_path / "paired.csv").write_text(
+        "case_id,forecast_a,forecast_b,obs\nc0,1,2,3\nc1,3,1,0\nc2,0,1,2\n"
+    )
+    part = tmp_path / "part.json"
+    part.write_text('{"cutpoints": [0]}')
+    huber = {"functional": "huber_mean", "nu": "inf"}
+    quantile = {"functional": "quantile", "alpha": "0.5", "nu": "3"}
+    for command, params, extra in (
+        ("score", huber, {"input": "cases.csv"}),
+        ("score", huber, {"input": "cases.csv", "partition": str(part)}),
+        ("compare", huber, {"input": "paired.csv"}),
+        ("murphy", quantile, {"input": "paired.csv"}),
+    ):
+        extra = dict(extra, input=str(tmp_path / extra["input"]))
+        cfg = {**params, **extra, "out": str(tmp_path / "out")}
+        argv = [command] + [a for k, v in cfg.items() for a in (f"--{k}", v)]
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("error: "), argv
+        assert _run_with_config(tmp_path, command, cfg) == 2, cfg
+        assert capsys.readouterr().err.startswith("error: "), cfg
+        assert not list(tmp_path.glob("out*")), argv
+
+
+def test_cli_overflow_prints_only_the_numeric_error(tmp_path):
+    # numpy's overflow warnings stay off stderr; the named case is the message
+    (tmp_path / "cases.csv").write_text("case_id,forecast,obs\nc1,1e200,0\n")
+    (tmp_path / "ens.csv").write_text("case_id,obs,m1,m2\nc9,-1.7e308,1.7e308,1.7e308\n")
+    part = tmp_path / "part.json"
+    part.write_text('{"cutpoints": [0]}')
+    src = str(Path(veriscore.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv, case in (
+        (["score", "--functional", "expectile", "--alpha", "0.5", "--input", "cases.csv"], "c1"),
+        (["crps", "--input", "ens.csv"], "c9"),
+        (["crps", "--partition", str(part), "--input", "ens.csv"], "c9"),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "veriscore.cli", *argv, "--out", "out"],
+            capture_output=True, text=True, env=env, cwd=tmp_path,
+        )
+        assert proc.returncode == 3, argv
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"numeric error: case {case}: "), (
+            proc.stderr
+        )
+        assert not list(tmp_path.glob("out*")), argv
+
+
 def test_cli_negative_grid_reads_alike_spaced_joined_and_from_config(tmp_path):
     assert main(["synth", "--n", "300", "--seed", "2", "--out", str(tmp_path / "d")]) == 0
     base = ["murphy", "--functional", "quantile", "--alpha", "0.3",

@@ -63,20 +63,9 @@ def test_signed_integrals_and_knots():
 
 # the custom generators of acceptance criterion 3: no deriv_const, so
 # every component goes through the quadrature routine
-QUAD_G = GeneratorSpec.custom_g(
-    lambda t: np.asarray(t, dtype=float),
-    lambda t: np.ones_like(np.asarray(t, dtype=float)),
-)
-QUAD_PHI2 = GeneratorSpec.custom_phi(
-    lambda t: 2.0 * np.square(np.asarray(t, dtype=float)),
-    lambda t: 4.0 * np.asarray(t, dtype=float),
-    lambda t: np.full_like(np.asarray(t, dtype=float), 4.0),
-)
-QUAD_PHI1 = GeneratorSpec.custom_phi(
-    lambda t: np.square(np.asarray(t, dtype=float)),
-    lambda t: 2.0 * np.asarray(t, dtype=float),
-    lambda t: np.full_like(np.asarray(t, dtype=float), 2.0),
-)
+QUAD_G = GeneratorSpec.custom_g(lambda t: np.ones_like(np.asarray(t, dtype=float)))
+QUAD_PHI2 = GeneratorSpec.custom_phi(lambda t: np.full_like(np.asarray(t, dtype=float), 4.0))
+QUAD_PHI1 = GeneratorSpec.custom_phi(lambda t: np.full_like(np.asarray(t, dtype=float), 2.0))
 CUSTOM_SPECS = (
     ScoringSpec("quantile", QUAD_G, alpha=0.35),
     ScoringSpec("expectile", QUAD_PHI2, alpha=0.7),
@@ -90,8 +79,7 @@ NORMALIZED_TABLES = normalized_partition(
 
 def _oracle(spec, weight, x, y):
     # the component forms of veriscore.decomposition, each moment by QUADPACK
-    gen = spec.generator
-    dens = gen.derivative if gen.family == "g" else gen.second_derivative
+    dens = spec.generator.density
 
     def moment(k, p, q):
         lo, hi = min(p, q), max(p, q)

@@ -14,9 +14,11 @@ from veriscore import (
     cap,
     check_generator,
     decompose,
+    elementary_score,
     expectile_score,
     functional_value,
     huber_loss,
+    murphy_curve,
     quantile_score,
     rectangular_partition,
     score,
@@ -128,35 +130,60 @@ def test_spec_validation_matrix():
         ScoringSpec("mean", phi, nu=1.0)
 
 
+# (functional, alpha, nu) triples that no entry point may accept
+BAD_PARAMETERS = [
+    ("quantile", None, None),
+    ("quantile", 0.0, None),
+    ("expectile", 1.0, None),
+    ("expectile", math.nan, None),
+    ("quantile", 0.5, 3.0),
+    ("expectile", 0.5, 1.0),
+    ("huber_mean", None, None),
+    ("huber_mean", None, 0.0),
+    ("huber_mean", None, -1.0),
+    ("huber_mean", None, math.inf),
+    ("huber_mean", None, math.nan),
+    ("huber_mean", 0.5, 1.0),
+    ("mean", 0.5, None),
+]
+
+
+@pytest.mark.parametrize("functional, alpha, nu", BAD_PARAMETERS)
+def test_every_entry_point_rejects_the_same_parameters(functional, alpha, nu):
+    g = GeneratorSpec.identity_g() if functional == "quantile" else GeneratorSpec.quadratic_phi()
+    calls = (
+        lambda: ScoringSpec(functional, g, alpha=alpha, nu=nu),
+        lambda: elementary_score(functional, 1.5, 2.0, 1.0, alpha=alpha, nu=nu),
+        lambda: murphy_curve({"S": ([2.0], [1.0])}, functional, alpha=alpha, nu=nu),
+    )
+    messages = set()
+    for call in calls:
+        with pytest.raises(ValidationError) as err:
+            call()
+        messages.add(str(err.value))
+    assert len(messages) == 1, messages
+
+
 def test_custom_generator_probed_at_construction():
     bad_g = GeneratorSpec.custom_g(
-        lambda t: -np.asarray(t, dtype=float),
-        lambda t: np.full_like(np.asarray(t, dtype=float), -1.0),
+        lambda t: np.full_like(np.asarray(t, dtype=float), -1.0)
     )
     with pytest.raises(ValidationError):
         ScoringSpec("quantile", bad_g, alpha=0.5)
     bad_phi = GeneratorSpec.custom_phi(
-        lambda t: -np.square(np.asarray(t, dtype=float)),
-        lambda t: -2.0 * np.asarray(t, dtype=float),
-        lambda t: np.full_like(np.asarray(t, dtype=float), -2.0),
+        lambda t: np.full_like(np.asarray(t, dtype=float), -2.0)
     )
     with pytest.raises(ValidationError):
         ScoringSpec("expectile", bad_phi, alpha=0.5)
     with pytest.raises(ValidationError):
-        check_generator(
-            GeneratorSpec.custom_phi(
-                lambda t: t, lambda t: t, None
-            )
-        )
+        check_generator(GeneratorSpec.custom_phi(None))
 
 
 def test_custom_generator_total_matches_components_at_large_magnitude():
     # without deriv_const the total is a quadrature of phi'' in coordinates
     # local to y, the form its components use; phi(x) - phi(y) would cancel
     gen = GeneratorSpec.custom_phi(
-        lambda t: 2.0 * np.square(np.asarray(t, dtype=float)),
-        lambda t: 4.0 * np.asarray(t, dtype=float),
-        lambda t: np.full_like(np.asarray(t, dtype=float), 4.0),
+        lambda t: np.full_like(np.asarray(t, dtype=float), 4.0)
     )
     x, y = 1e9 + 1, 1e9
     for spec, want in (
@@ -197,6 +224,29 @@ def test_discrete_distribution_normalizes_and_merges():
     assert d.mean() == pytest.approx(2.0)
     dz = DiscreteDistribution([1.0, 5.0, 9.0], [0.5, 0.0, 0.5])
     np.testing.assert_array_equal(dz.values, [1.0, 9.0])
+
+
+def test_discrete_distribution_merge_matches_a_sorted_loop():
+    # the reference merge: drop zero masses, sort stably, add equal values'
+    # masses in order, then normalize
+    rng = np.random.default_rng(29)
+    for _ in range(300):
+        n = int(rng.integers(1, 12))
+        v = rng.integers(-3, 4, n) * rng.choice([1.0, 0.1, 1e300])
+        p = rng.random(n) * (rng.random(n) > 0.2)
+        p[0] += 0.1
+        p = p / p.sum()
+        vals, probs = [], []
+        for vi, pi in sorted(zip(v[p > 0], p[p > 0]), key=lambda vp: vp[0]):
+            if vals and vi == vals[-1]:
+                probs[-1] += pi
+            else:
+                vals.append(vi)
+                probs.append(pi)
+        probs = np.array(probs)
+        d = DiscreteDistribution(v, p)
+        assert d.values.tobytes() == np.array(vals).tobytes()
+        assert d.probs.tobytes() == (probs / probs.sum()).tobytes()
 
 
 def test_discrete_distribution_validation():
