@@ -33,7 +33,10 @@ a row that is asked for.
 All three share one reader: the header must match exactly (a UTF-8
 byte order mark is ignored), blank lines are skipped, case ids must be
 non-empty and unique, every value must be a finite number, and errors
-cite the file and line.  ``write_scores_csv`` writes per-case results,
+cite the file and line.  numpy's C text reader parses the body first;
+a file it refuses, or one that fails a check, is read again row by row
+with ``csv.reader`` and ``float``, which accept the same syntax and
+word the errors.  ``write_scores_csv`` writes per-case results,
 ``case_id`` followed by named numeric columns; the case writers and
 the Murphy curve writer share its table writer.
 
@@ -50,6 +53,8 @@ import csv
 import json
 from array import array
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -115,7 +120,7 @@ class CaseSet:
     """Aligned arrays of forecast cases for one forecast system."""
 
     def __init__(self, ids, forecasts, observations):
-        ids = tuple(str(i) for i in ids)
+        ids = tuple(map(str, ids))
         x = np.atleast_1d(np.asarray(forecasts, dtype=float))
         y = np.atleast_1d(np.asarray(observations, dtype=float))
         if x.ndim != 1 or x.shape != y.shape or len(ids) != x.size:
@@ -126,7 +131,7 @@ class CaseSet:
             raise ValidationError("a case set needs at least one case")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise ValidationError("forecasts and observations must be finite")
-        if any(not i for i in ids):
+        if not all(ids):
             raise ValidationError("case ids must be non-empty")
         if len(set(ids)) != len(ids):
             raise ValidationError("case ids must be unique")
@@ -158,11 +163,75 @@ class CaseSet:
         return ForecastCase(case_id, float(self.forecasts[i]), float(self.observations[i]))
 
 
+# bytes that numpy's number parser skips as white space and ``float`` refuses
+_SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+def _load_body(path, columns: list[str], members: bool):
+    """The body as numpy's C reader parses it: a structured array of
+    ids and value rows, or None for a file it refuses."""
+    try:
+        with open(path, "rb") as fh:
+            for block in iter(partial(fh.read, 1 << 20), b""):
+                if any(sep in block for sep in _SEPARATORS):
+                    return None
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            header = [h.strip() for h in next(csv.reader(fh))]
+            if members:
+                k = max(len(header) - len(columns), 1)
+                columns = columns + [f"m{i}" for i in range(1, k + 1)]
+            if header != columns:
+                return None
+            for line in fh:  # numpy warns on a body without data
+                if line.strip():
+                    return np.loadtxt(
+                        chain((line,), fh),
+                        dtype=[("id", object), ("v", float, (len(columns) - 1,))],
+                        delimiter=",",
+                        quotechar='"',
+                        comments=None,
+                        ndmin=1,
+                    )
+    except (OSError, StopIteration, ValueError, csv.Error):
+        pass  # ValueError includes UnicodeDecodeError
+    return None
+
+
 def _read_table(path, columns: list[str], members: bool = False):
     """Case ids and the (n, k) matrix of the k numeric columns.
 
     ``columns`` is the expected header; with ``members`` it continues
     with ``m1 .. mk``, k taken from the header width (at least 1).
+
+    numpy's C reader parses the body in one call, and the checks run on
+    whole arrays.  A file it refuses, or that fails a check, is read
+    again by ``_read_rows``.  Only that reader skips lines of white
+    space or of blank cells between rows and reads numerals that only
+    ``float`` accepts (``1_0``); it also words every error.  The two
+    differ on one input: a number padded beyond
+    ``csv.field_size_limit()`` characters is read here and refused by
+    ``csv.reader``.
+    """
+    table = _load_body(path, columns, members)
+    if table is not None:
+        raw = table["id"].tolist()
+        ids = list(map(str.strip, raw))
+        matrix = np.ascontiguousarray(table["v"])
+        if (
+            all(ids)
+            and len(set(ids)) == len(ids)
+            and max(map(len, raw)) <= csv.field_size_limit()
+            and np.isfinite(matrix).all()
+        ):
+            return ids, matrix
+    return _read_rows(path, columns, members)
+
+
+def _read_rows(path, columns: list[str], members: bool = False):
+    """``_read_table`` by ``csv.reader``, one row at a time.
+
+    Reads what numpy's reader refuses and words every error with
+    ``file:line``.
     """
     try:
         fh = open(path, "r", encoding="utf-8-sig", newline="")

@@ -62,9 +62,8 @@ FUNCTIONALS = ("quantile", "expectile", "huber_mean")
 
 
 def cap(value, nu):
-    """Clamp value to [-nu, nu] elementwise."""
-    if nu <= 0:
-        raise ValidationError(f"cap parameter nu must be positive, got {nu}")
+    """Clamp value to [-nu, nu] elementwise; nu as for ``huber_mean``."""
+    check_parameters("huber_mean", None, nu)
     return np.clip(value, -nu, nu)
 
 

@@ -3,6 +3,7 @@
 import ast
 import csv
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -12,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import veriscore
 from veriscore import (
@@ -136,6 +139,133 @@ def test_read_cases_csv_errors(tmp_path):
         # a UTF-8 byte order mark before the header is not part of it
         p.write_text(f"\ufeff{header}\na,1,{rest}\n", encoding="utf-8")
         read(p)
+
+
+# the three schemas as (columns, members, header)
+SCHEMAS = (
+    (["case_id", "forecast", "obs"], False, "case_id,forecast,obs"),
+    (["case_id", "forecast_a", "forecast_b", "obs"], False, "case_id,forecast_a,forecast_b,obs"),
+    (["case_id", "obs"], True, "case_id,obs,m1,m2"),
+)
+ID_CELLS = ["a", "b", " a ", '"x,y"', '"a""b"', '"p\r\nq"', '"p\nq"', '"in ner"', '""', " "]
+VALUE_CELLS = [
+    "1", "-0", "+2.5", "1e5", "-2.5E-3", "1_0", " 3 ", '"4"', "4.9e-324", "1e-310",
+    "0.30000000000000004", "1.2345678901234567", "", "nan", "1e400", "x", "\x1c5", "5\x1f",
+]
+BLANK_LINES = ["", "   ", " , ,"]
+
+
+def _both_readers(path, columns, members):
+    """What ``_read_table`` and the row reader make of one file: the ids
+    and the matrix bytes, or the error text."""
+
+    def outcome(read):
+        try:
+            ids, matrix = read(path, columns, members)
+        except ValidationError as exc:
+            return str(exc)
+        return ids, matrix.shape, matrix.tobytes()
+
+    return outcome(veriscore.io._read_table), outcome(veriscore.io._read_rows)
+
+
+def test_table_reader_matches_the_row_reader_on_a_corpus(tmp_path):
+    p = tmp_path / "t.csv"
+    for columns, members, header in SCHEMAS:
+        width = header.count(",")
+
+        def row(case_id, *values):
+            return ",".join([case_id, *(values + ("2.5",) * width)[:width]])
+
+        bodies = [
+            [row(i, "1") for i in ID_CELLS[2:8]],
+            [row("a", "1_0"), row("b", "2")],
+            [row(f"c{j}", v) for j, v in enumerate(VALUE_CELLS[:12])],
+            [row("a", "1"), row("b", "\x1c5")],
+            [row("a", "1"), "", row("b", "2")],
+            [row("a", "1"), "   ", row("b", "2")],
+            [row("a", "1"), " , ,", row("b", "2")],
+            ["", "   ", row("a", "1")],
+            [row("a", "1"), row("a", "2")],
+            [row("a", "1"), row(" ", "2")],
+            [row('"p\nq"', "1"), row("b", "inf")],
+            [row("a", "1"), row("b", "x")],
+            [row("a", "1"), "a,1"],
+            [row("a", "1"), row("b", "1e400")],
+            [],
+            ["", ""],
+        ]
+        for body in bodies:
+            for bom, end, last in itertools.product(("", "\ufeff"), ("\n", "\r\n"), ("\n", "")):
+                text = bom + end.join([header, *body]) + last
+                p.write_bytes(text.encode("utf-8"))
+                fast, rows = _both_readers(p, columns, members)
+                assert fast == rows, text
+
+
+@st.composite
+def _csv_texts(draw):
+    columns, members, header = draw(st.sampled_from(SCHEMAS))
+    width = header.count(",")
+    lines = [header]
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(BLANK_LINES)))
+        else:
+            cells = [draw(st.sampled_from(ID_CELLS))]
+            cells += draw(st.lists(st.sampled_from(VALUE_CELLS), min_size=width, max_size=width))
+            lines.append(",".join(cells))
+    text = draw(st.sampled_from(["", "\ufeff"]))
+    text += "".join(line + draw(st.sampled_from(["\n", "\r\n", "\r"])) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no final newline
+    return columns, members, text
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(case=_csv_texts())
+def test_table_reader_matches_the_row_reader_on_generated_files(tmp_path, case):
+    columns, members, text = case
+    p = tmp_path / "t.csv"
+    p.write_bytes(text.encode("utf-8"))
+    fast, rows = _both_readers(p, columns, members)
+    assert fast == rows
+
+
+def test_well_formed_files_never_take_the_row_path(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("read by the row reader")
+
+    monkeypatch.setattr(veriscore.io, "_read_rows", refuse)
+    rng = np.random.default_rng(15)
+    n = 10_000
+    # a few ids that csv.writer quotes: commas, quotes, a line break
+    ids = [f"c{i}" if i % 1000 else f'c "{i}",\n{i}' for i in range(n)]
+    x, y, z = (np.array([round12(v) for v in col]) for col in rng.normal(4.0, 15.0, (3, n)))
+    write_cases_csv(CaseSet(ids, x, y), tmp_path / "c.csv")
+    got = read_cases_csv(tmp_path / "c.csv")
+    assert got.ids == tuple(ids)
+    assert got.forecasts.tobytes() == x.tobytes() and got.observations.tobytes() == y.tobytes()
+    write_paired_csv(CaseSet(ids, x, y), CaseSet(ids, z, y), tmp_path / "p.csv")
+    a, b = read_paired_csv(tmp_path / "p.csv")
+    assert a.ids == b.ids == tuple(ids) and b.forecasts.tobytes() == z.tobytes()
+    write_scores_csv(tmp_path / "e.csv", ids, {"obs": y, "m1": x, "m2": z})
+    ens = read_ensemble_csv(tmp_path / "e.csv")
+    assert ens.ids == tuple(ids)
+
+
+def test_errors_after_a_two_line_id_cite_the_same_line(tmp_path):
+    # the row reader counts rows, so the value on physical line 4 is cited
+    # as line 3, as it always was
+    p = tmp_path / "c.csv"
+    p.write_text('case_id,forecast,obs\n"a\nb",1,2\nc,1,inf\n')
+    with pytest.raises(ValidationError, match=r"c\.csv:3: obs value must be finite$"):
+        read_cases_csv(p)
 
 
 def test_write_scores_csv_validates_shapes(tmp_path):

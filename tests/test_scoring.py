@@ -215,6 +215,10 @@ def test_cap_clamps_and_validates():
     )
     with pytest.raises(ValidationError):
         cap(1.0, 0.0)
+    # the cap takes the same nu as huber_mean: positive and finite
+    for nu in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="Huber cap nu must be positive and finite"):
+            cap(5.0, nu)
 
 
 def test_discrete_distribution_normalizes_and_merges():
