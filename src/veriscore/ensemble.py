@@ -37,7 +37,7 @@ import numpy as np
 
 from .decomposition import DecomposedScore
 from .errors import NumericError, ValidationError
-from .io import _read_table
+from .io import _check_cases, _checked, _read_table
 from .partition import PartitionOfUnity
 
 __all__ = [
@@ -129,12 +129,7 @@ class EnsembleSet:
             )
         if y.size == 0 or x.shape[1] == 0:
             raise ValidationError("an ensemble set needs a case and a member")
-        if not (np.all(np.isfinite(y)) and np.all(np.isfinite(x))):
-            raise ValidationError("observations and ensemble members must be finite")
-        if any(not i for i in ids):
-            raise ValidationError("case ids must be non-empty")
-        if len(set(ids)) != len(ids):
-            raise ValidationError("case ids must be unique")
+        _check_cases(ids, (y, x), "observations and ensemble members must be finite")
         self.ids = ids
         self.observations = y
         self.members = x
@@ -259,4 +254,4 @@ def crps_decomposed(cdf, y, partition: PartitionOfUnity) -> DecomposedScore:
 def read_ensemble_csv(path) -> EnsembleSet:
     """Read forecast cases with ensemble members (schema in ``veriscore.io``)."""
     ids, values = _read_table(path, ["case_id", "obs"], members=True)
-    return EnsembleSet(ids, values[:, 0], values[:, 1:])
+    return _checked(EnsembleSet, ids=ids, observations=values[:, 0], members=values[:, 1:])

@@ -1,12 +1,14 @@
 """Forecast case containers, file formats, and deterministic output.
 
 Every file the package reads or writes goes through this module.  All
-numeric output is serialized with 12 significant digits via
-``fmt12``, and each per-case value is formatted once.  The summary
-means that ``write_scores_csv`` returns are read back from that same
-text, so a summary recomputed from a written per-case file reproduces
-the written summary bit for bit.  Output never embeds timestamps or
-environment details; identical inputs give byte-identical files.
+numeric output has 12 significant digits (``fmt12``).  One table writer
+serves ``write_scores_csv``, the case writers and the Murphy curve: it
+formats each block of rows with one ``%`` template, parses the cells
+back in C and quotes as ``csv.writer`` does.  The summary means that
+``write_scores_csv`` returns come from those written cells, so a
+summary recomputed from a written per-case file reproduces it bit for
+bit.  Output never embeds timestamps or environment details; identical
+inputs give byte-identical files.
 
 CSV schemas
 -----------
@@ -24,21 +26,16 @@ Ensemble (``veriscore.ensemble.read_ensemble_csv``)::
 
     case_id, obs, m1, ..., mk
 
-One forecast case per row, read into an ``EnsembleSet``: the ids, the
-observations (n,) and the members (n, k).  Each row stands for the
-empirical CDF with jumps of size 1/k at the member values; the CRPS
-kernel scores all rows at once and builds an ``EmpiricalCDF`` only for
-a row that is asked for.
+One forecast case per row, read into an ``EnsembleSet``.
 
 All three share one reader: the header must match exactly (a UTF-8
 byte order mark is ignored), blank lines are skipped, case ids must be
 non-empty and unique, every value must be a finite number, and errors
-cite the file and line.  numpy's C text reader parses the body first;
-a file it refuses, or one that fails a check, is read again row by row
-with ``csv.reader`` and ``float``, which accept the same syntax and
-word the errors.  ``write_scores_csv`` writes per-case results,
-``case_id`` followed by named numeric columns; the case writers and
-the Murphy curve writer share its table writer.
+cite the file and physical line.  numpy's C text reader parses the
+body first; a file it refuses, or one that fails a check, is read
+again row by row with ``csv.reader`` and ``float``, which accept the
+same syntax and word the errors.  ``CaseSet`` and ``EnsembleSet`` take
+a read table as it is: ``_check_cases`` has checked it once.
 
 JSON
 ----
@@ -50,8 +47,11 @@ order with indent 2 and rejects NaN and infinities.
 from __future__ import annotations
 
 import csv
+import io
 import json
+import re
 from array import array
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
@@ -63,7 +63,6 @@ from .errors import ValidationError
 __all__ = [
     "fmt12",
     "round12",
-    "mean_of_rounded",
     "ForecastCase",
     "CaseSet",
     "read_cases_csv",
@@ -88,23 +87,21 @@ def round12(x) -> float:
     return float(fmt12(x))
 
 
-def _texts(values) -> list[str]:
-    """``fmt12`` of every value, in one pass."""
-    return [f"{v:.12g}" for v in np.asarray(values, dtype=float).ravel().tolist()]
+def _check_cases(ids: tuple[str, ...], values, not_finite: str) -> None:
+    """Every array in ``values`` finite (else ``not_finite``), ids non-empty and unique."""
+    if not all(np.isfinite(v).all() for v in values):
+        raise ValidationError(not_finite)
+    if not all(ids):
+        raise ValidationError("case ids must be non-empty")
+    if len(set(ids)) != len(ids):
+        raise ValidationError("case ids must be unique")
 
 
-def _parse(texts: list[str]) -> np.ndarray:
-    return np.fromiter(map(float, texts), float, len(texts))
-
-
-def mean_of_rounded(values) -> float:
-    """Mean over the serialized (rounded) values, rounded once more.
-
-    This is the mean a reader of the written per-case file would
-    compute, which keeps written summaries reproducible from written
-    cases.
-    """
-    return round12(np.mean(_parse(_texts(values))))
+def _checked(cls, **fields):
+    """An instance of ``cls`` holding ``fields`` that a reader has checked."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -129,12 +126,7 @@ class CaseSet:
             )
         if x.size == 0:
             raise ValidationError("a case set needs at least one case")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-            raise ValidationError("forecasts and observations must be finite")
-        if not all(ids):
-            raise ValidationError("case ids must be non-empty")
-        if len(set(ids)) != len(ids):
-            raise ValidationError("case ids must be unique")
+        _check_cases(ids, (x, y), "forecasts and observations must be finite")
         self.ids = ids
         self.forecasts = x
         self.observations = y
@@ -198,32 +190,27 @@ def _load_body(path, columns: list[str], members: bool):
 
 
 def _read_table(path, columns: list[str], members: bool = False):
-    """Case ids and the (n, k) matrix of the k numeric columns.
+    """Case ids (a tuple) and the (n, k) matrix of the k numeric columns.
 
     ``columns`` is the expected header; with ``members`` it continues
     with ``m1 .. mk``, k taken from the header width (at least 1).
-
-    numpy's C reader parses the body in one call, and the checks run on
-    whole arrays.  A file it refuses, or that fails a check, is read
-    again by ``_read_rows``.  Only that reader skips lines of white
-    space or of blank cells between rows and reads numerals that only
-    ``float`` accepts (``1_0``); it also words every error.  The two
-    differ on one input: a number padded beyond
-    ``csv.field_size_limit()`` characters is read here and refused by
-    ``csv.reader``.
+    numpy's C reader parses the body in one call and ``_check_cases``
+    checks it.  A file it refuses, or that fails a check, is read again
+    by ``_read_rows``, the only reader that skips lines of white space
+    or of blank cells between rows, reads numerals that only ``float``
+    accepts (``1_0``) and words every error.  The two differ on one
+    input: a number padded beyond ``csv.field_size_limit()`` characters
+    is read here and refused by ``csv.reader``.
     """
     table = _load_body(path, columns, members)
     if table is not None:
         raw = table["id"].tolist()
-        ids = list(map(str.strip, raw))
-        matrix = np.ascontiguousarray(table["v"])
-        if (
-            all(ids)
-            and len(set(ids)) == len(ids)
-            and max(map(len, raw)) <= csv.field_size_limit()
-            and np.isfinite(matrix).all()
-        ):
-            return ids, matrix
+        if max(map(len, raw)) <= csv.field_size_limit():
+            ids = tuple(map(str.strip, raw))
+            matrix = np.ascontiguousarray(table["v"])
+            with suppress(ValidationError):  # the row reader words the error
+                _check_cases(ids, (matrix,), "")
+                return ids, matrix
     return _read_rows(path, columns, members)
 
 
@@ -253,7 +240,9 @@ def _read_rows(path, columns: list[str], members: bool = False):
                 )
             names = columns[1:]
             ids, lines, values = [], [], array("d")
-            for lineno, row in enumerate(reader, start=2):
+            end = reader.line_num
+            for row in reader:  # a quoted field may span lines
+                lineno, end = end + 1, reader.line_num
                 if not row or all(not c.strip() for c in row):
                     continue
                 if len(row) != len(columns):
@@ -290,19 +279,19 @@ def _read_rows(path, columns: list[str], members: bool = False):
         raise ValidationError(f"{path}:{lines[i]}: {names[j]} value must be finite")
     if len(set(ids)) != len(ids):
         raise ValidationError(f"{path}: duplicate case ids")
-    return ids, matrix
+    return tuple(ids), matrix
 
 
 def read_cases_csv(path) -> CaseSet:
     """Read one system's cases (schema in the module docstring)."""
     ids, v = _read_table(path, ["case_id", "forecast", "obs"])
-    return CaseSet(ids, v[:, 0], v[:, 1])
+    return _checked(CaseSet, ids=ids, forecasts=v[:, 0], observations=v[:, 1])
 
 
 def read_paired_csv(path) -> tuple[CaseSet, CaseSet]:
     """Read paired cases of two systems sharing observations."""
     ids, v = _read_table(path, ["case_id", "forecast_a", "forecast_b", "obs"])
-    return CaseSet(ids, v[:, 0], v[:, 2]), CaseSet(ids, v[:, 1], v[:, 2])
+    return tuple(_checked(CaseSet, ids=ids, forecasts=x, observations=v[:, 2]) for x in v.T[:2])
 
 
 def read_json(path) -> dict:
@@ -326,13 +315,29 @@ def read_json(path) -> dict:
     return obj
 
 
+_QUOTED = re.compile('[,"\r\n]')  # what makes csv.writer quote a field
+
+
+def _fields(values) -> list[str]:
+    """Each value as a default ``csv.writer`` field: its ``str``, None as
+    empty, quoted with quotes doubled if it holds a comma, quote, CR or LF."""
+    texts = ["" if v is None else str(v) for v in values]
+    if _QUOTED.search("".join(texts)):
+        texts = ['"%s"' % t.replace('"', '""') if _QUOTED.search(t) else t for t in texts]
+    return texts
+
+
 def _write_table(path, header: list[str], keys, columns) -> np.ndarray:
     """One row per key: the key, then each column's value (``fmt12``).
 
-    Each value is formatted once, ``WRITE_BLOCK_ROWS`` rows at a time so
-    that the text in memory stays bounded.  Returns the written cells
-    read back as floats, one row per column.
+    ``WRITE_BLOCK_ROWS`` rows at a time, one ``%`` call formats a block
+    as lines of ``%.12g`` cells (``fmt12``'s conversion) and numpy's C
+    parser reads them back (rounding as ``float``).  A row is its key
+    quoted by ``_fields``, a comma, its line and CRLF, as ``csv.writer``
+    writes it.  Returns the written cells read back, one row per column.
     """
+    if len(header) < 2:
+        raise ValidationError("a table needs at least one value column")
     matrix = np.empty((len(header) - 1, len(keys)))
     for name, row, col in zip(header[1:], matrix, columns):
         col = np.asarray(col, dtype=float)
@@ -341,15 +346,15 @@ def _write_table(path, header: list[str], keys, columns) -> np.ndarray:
                 f"column {name!r} has shape {col.shape}, expected ({len(keys)},)"
             )
         row[:] = col
+    line = ",".join(["%.12g"] * len(matrix)) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        fh.write(",".join(_fields(header)) + "\r\n")
         for start in range(0, len(keys), WRITE_BLOCK_ROWS):
             block = matrix[:, start : start + WRITE_BLOCK_ROWS]
-            texts = [_texts(row) for row in block]
-            writer.writerows(zip(keys[start : start + WRITE_BLOCK_ROWS], *texts))
-            for row, cells in zip(block, texts):
-                row[:] = _parse(cells)
+            text = (line * block.shape[1]) % tuple(block.T.ravel().tolist())
+            block[:] = np.loadtxt(io.StringIO(text), delimiter=",", ndmin=2).T
+            rows = zip(_fields(keys[start : start + WRITE_BLOCK_ROWS]), text.split("\n"))
+            fh.write("".join(f"{key},{values}\r\n" for key, values in rows))
     return matrix
 
 
@@ -358,7 +363,7 @@ def write_scores_csv(path, ids, columns: dict) -> dict[str, float]:
 
     ``columns`` maps column name to an array aligned with ids; ordering
     of the mapping is preserved in the file.  Returns each column's
-    summary mean, taken over the written cells (``mean_of_rounded``).
+    summary mean: the mean a reader of the file computes, ``round12``.
     """
     written = _write_table(path, ["case_id", *columns], ids, columns.values())
     return {name: round12(np.mean(row)) for name, row in zip(columns, written)}

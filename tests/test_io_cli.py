@@ -3,6 +3,7 @@
 import ast
 import csv
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -22,7 +23,6 @@ from veriscore import (
     ForecastCase,
     ValidationError,
     fmt12,
-    mean_of_rounded,
     read_cases_csv,
     read_ensemble_csv,
     read_paired_csv,
@@ -45,12 +45,18 @@ def test_fmt12_round12_idempotent():
     assert fmt12(1e-300) == "1e-300"
 
 
-def test_mean_of_rounded_reproducible_from_serialized():
+def _mean_of_written(vals) -> float:
+    """The summary mean of a column: over its 12-digit cells read back."""
+    return round12(np.mean([float(fmt12(v)) for v in vals]))
+
+
+def test_summary_means_are_the_means_a_reader_of_the_file_computes(tmp_path):
     rng = np.random.default_rng(1)
     vals = rng.normal(3.0, 2.0, 100)
-    written = [fmt12(v) for v in vals]
-    re_read = np.array([float(s) for s in written])
-    assert mean_of_rounded(vals) == round12(np.mean([round12(v) for v in re_read]))
+    means = write_scores_csv(tmp_path / "s.csv", [f"c{i}" for i in range(100)], {"v": vals})
+    with open(tmp_path / "s.csv", newline="") as fh:
+        re_read = [float(r["v"]) for r in csv.DictReader(fh)]
+    assert means == {"v": round12(np.mean(re_read))}
 
 
 def test_case_set_validation_and_access():
@@ -259,12 +265,13 @@ def test_well_formed_files_never_take_the_row_path(tmp_path, monkeypatch):
     assert ens.ids == tuple(ids)
 
 
-def test_errors_after_a_two_line_id_cite_the_same_line(tmp_path):
-    # the row reader counts rows, so the value on physical line 4 is cited
-    # as line 3, as it always was
+def test_errors_after_a_two_line_id_cite_the_physical_line(tmp_path):
     p = tmp_path / "c.csv"
     p.write_text('case_id,forecast,obs\n"a\nb",1,2\nc,1,inf\n')
-    with pytest.raises(ValidationError, match=r"c\.csv:3: obs value must be finite$"):
+    with pytest.raises(ValidationError, match=r"c\.csv:4: obs value must be finite$"):
+        read_cases_csv(p)
+    p.write_text('case_id,forecast,obs\n"a\r\nb\nc",1,2\n\nd,1,2\nd,x,2\n')
+    with pytest.raises(ValidationError, match=r"c\.csv:7: forecast value 'x' is not a"):
         read_cases_csv(p)
 
 
@@ -285,10 +292,143 @@ def test_written_bytes_and_means_do_not_depend_on_the_block_size(tmp_path, monke
         return (tmp_path / "s.csv").read_bytes(), means
 
     default = written()  # every row in one block
-    assert default[1] == {name: mean_of_rounded(c) for name, c in columns.items()}
+    assert default[1] == {name: _mean_of_written(c) for name, c in columns.items()}
     for rows in (1, 3):
         monkeypatch.setattr(veriscore.io, "WRITE_BLOCK_ROWS", rows)
         assert written() == default
+
+
+def _ulps(x, k):
+    """x and its k nearest floats on each side."""
+    out = [x]
+    lo = hi = x
+    for _ in range(k):
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+        out += [float(lo), float(hi)]
+    return out
+
+
+FORMAT_EDGES = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072009e-308,  # subnormals
+    2.2250738585072014e-308, -2.2250738585072014e-308,  # smallest normal
+    1.7976931348623157e308, -1.7976931348623157e308, float("inf"), float("-inf"),
+    *_ulps(1e12, 3), *_ulps(999999999999.0, 3), *_ulps(999999999999.5, 3),
+    *_ulps(123456789012.5, 3), *_ulps(-1.0000000000005, 3), *_ulps(0.1234567890125, 3),
+    *_ulps(9.9999999999995e-5, 3), *_ulps(2.5e-15, 3), 0.1, 1 / 3, -2.5,
+]
+
+
+def _cells_of_written_table(tmp_path, values, width):
+    """The table writer on ``values`` in rows of ``width``: the written
+    cells and the floats it returns, both row-major."""
+    rows = np.reshape(values, (-1, width))
+    header = ["case_id"] + [f"v{j}" for j in range(width)]
+    back = veriscore.io._write_table(
+        tmp_path / "t.csv", header, [f"c{i}" for i in range(len(rows))], rows.T
+    )
+    with open(tmp_path / "t.csv", newline="") as fh:
+        lines = fh.read().split("\r\n")
+    assert lines[0] == ",".join(header) and lines[-1] == ""
+    cells = [c for line in lines[1:-1] for c in line.split(",")[1:]]
+    return cells, back.T.ravel()
+
+
+def _assert_cells_are_fmt12_and_read_back_as_float(cells, back, values):
+    assert cells == [fmt12(v) for v in values]
+    assert back.tobytes() == np.array([float(c) for c in cells]).tobytes()
+
+
+def test_block_template_cells_are_fmt12_and_read_back_as_float(tmp_path):
+    for width in (1, 3):
+        values = FORMAT_EDGES[: len(FORMAT_EDGES) // width * width]
+        cells, back = _cells_of_written_table(tmp_path, values, width)
+        _assert_cells_are_fmt12_and_read_back_as_float(cells, back, values)
+    assert fmt12(-0.0) == "-0" and "-0" in cells
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    values=st.lists(
+        st.floats(allow_nan=False) | st.sampled_from(FORMAT_EDGES), min_size=1, max_size=24
+    ),
+    width=st.sampled_from([1, 2, 3]),
+)
+def test_block_template_matches_fmt12_and_float_on_generated_values(tmp_path, values, width):
+    values = values * width
+    cells, back = _cells_of_written_table(tmp_path, values, width)
+    _assert_cells_are_fmt12_and_read_back_as_float(cells, back, values)
+
+
+def _reference_table(header, keys, columns):
+    """What the table writer must produce: ``csv.writer`` rows of
+    ``fmt12`` cells, and those cells read back by ``float``."""
+    cells = [[fmt12(v) for v in col] for col in columns]
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(zip(keys, *cells))
+    return buf.getvalue().encode("utf-8"), [[float(c) for c in col] for col in cells]
+
+
+# pieces of ids and column names that csv.writer quotes, or that a reader strips
+AWKWARD = ["", ",", '"', '""', "\r", "\n", "\r\n", " ", "  ", "ä", "名前", "\u2028", "x,\"y\"\n"]
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    affixes=st.lists(
+        st.tuples(st.sampled_from(AWKWARD), st.sampled_from(AWKWARD)), min_size=1, max_size=12
+    ),
+    names=st.lists(st.sampled_from(AWKWARD), min_size=3, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_writers_match_csv_writer_fmt12_and_float(tmp_path, monkeypatch, affixes, names, seed):
+    # ids stay unique and non-empty once a reader strips them
+    ids = [f"{a}c{i}{b}" for i, (a, b) in enumerate(affixes)]
+    n = len(ids)
+    rng = np.random.default_rng(seed)
+    x, y, z = rng.normal(0.0, 10.0, (3, n)) * 10.0 ** rng.integers(-12, 12, (3, n))
+    columns = {f"{name}{j}": col for j, (name, col) in enumerate(zip(names, (x, y, z)))}
+    scores = _reference_table(["case_id", *columns], ids, columns.values())
+    cases = _reference_table(["case_id", "forecast", "obs"], ids, [x, y])
+    paired = _reference_table(["case_id", "forecast_a", "forecast_b", "obs"], ids, [x, z, y])
+    stripped = tuple(i.strip() for i in ids)
+    for rows in (1, 3, veriscore.io.WRITE_BLOCK_ROWS):
+        monkeypatch.setattr(veriscore.io, "WRITE_BLOCK_ROWS", rows)
+        means = write_scores_csv(tmp_path / "s.csv", ids, columns)
+        assert (tmp_path / "s.csv").read_bytes() == scores[0]
+        assert means == {name: round12(np.mean(col)) for name, col in zip(columns, scores[1])}
+        write_cases_csv(CaseSet(ids, x, y), tmp_path / "c.csv")
+        assert (tmp_path / "c.csv").read_bytes() == cases[0]
+        got = read_cases_csv(tmp_path / "c.csv")
+        assert got.ids == stripped
+        assert np.array([got.forecasts, got.observations]).tobytes() == np.array(cases[1]).tobytes()
+        write_paired_csv(CaseSet(ids, x, y), CaseSet(ids, z, y), tmp_path / "p.csv")
+        assert (tmp_path / "p.csv").read_bytes() == paired[0]
+        a, b = read_paired_csv(tmp_path / "p.csv")
+        assert a.ids == b.ids == stripped
+        assert np.array([a.forecasts, b.forecasts, a.observations]).tobytes() == (
+            np.array(paired[1]).tobytes()
+        )
+
+
+def test_table_writer_quotes_keys_as_csv_writer_does(tmp_path):
+    keys = ["plain", None, 1.5, "a,b", 'say "hi"', "two\nlines", "cr\r", " pad "]
+    back = veriscore.io._write_table(tmp_path / "t.csv", ["key", "v"], keys, [np.arange(8.0)])
+    assert (tmp_path / "t.csv").read_bytes() == _reference_table(["key", "v"], keys, [range(8)])[0]
+    assert back.tolist() == [list(range(8))]
+    with pytest.raises(ValidationError, match="at least one value column"):
+        veriscore.io._write_table(tmp_path / "t.csv", ["key"], keys, [])
 
 
 def test_write_json_layout(tmp_path):
@@ -336,7 +476,7 @@ def test_cli_score_summary_matches_written_cases(tmp_path, capsys):
     assert totals == [16.0, 4.0, 25.0]
     summary = json.loads(open(f"{out}.summary.json").read())
     assert summary["n"] == 3
-    assert summary["mean"]["total"] == mean_of_rounded(totals)
+    assert summary["mean"]["total"] == _mean_of_written(totals)
     assert summary["partition"] is None
 
 
