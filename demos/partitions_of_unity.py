@@ -25,7 +25,7 @@ os.makedirs(OUT, exist_ok=True)
 
 print("Rectangular cells: indicator weights on half-open intervals.")
 rect = rectangular_partition([0.0, 10.0])
-report = rect.validate()
+report = rect.report
 print(f"  {len(rect)} cells, max deviation from 1: {report.max_sum_error:.2e}")
 
 print("Trapezoidal weights: linear cross-fades between plateaus.")

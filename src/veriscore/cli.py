@@ -20,9 +20,10 @@ the default generator for the functional is not wanted.
 
 Outputs go to ``--out`` as a path prefix; each subcommand appends its
 own suffixes (for example ``run1`` becomes ``run1.cases.csv`` and
-``run1.summary.json``).  Numbers in files carry 12 significant
-digits; summaries are computed from the rounded per-case values, so
-re-deriving a summary from a written cases file reproduces it exactly.
+``run1.summary.json``).  Per-case values and the statistics computed
+from them carry 12 significant digits (echoed settings keep full
+precision); summaries are computed from the rounded per-case values,
+so re-deriving a summary from a written cases file reproduces it exactly.
 A short human-readable summary is printed to stdout.
 
 Exit codes: 0 on success, 2 for invalid inputs or configuration, 3
@@ -97,6 +98,8 @@ def _merge_config(args, cfg: dict) -> None:
             raise ValidationError(
                 f"unknown {where}; expected one of {sorted(args.flags)}"
             )
+        if isinstance(value, bool):  # no flag is boolean
+            raise ValidationError(f"{where}: invalid value {value!r}")
         if value is None or getattr(args, key) is not None:
             continue  # a given flag overrides the config
         if action.nargs == "+" and isinstance(value, str):
@@ -152,8 +155,6 @@ def _parse_labels(value) -> tuple[str, str]:
 
 
 def _parse_grid(value):
-    if isinstance(value, bool):
-        raise ValidationError(f"grid must be N or lo,hi,n, got {value!r}")
     if isinstance(value, (int, float)):
         if float(value) != int(value):
             raise ValidationError(f"grid point count must be an integer, got {value}")
@@ -298,8 +299,12 @@ def _cmd_hedge(args) -> int:
 
 def _cmd_validate_partition(args) -> int:
     path = _require(args, "partition")
-    partition = load_partition_config(path, validate=False)
-    report = partition.validate()
+    try:
+        report = load_partition_config(path).report
+    except ValidationError as exc:
+        if exc.report is None:
+            raise
+        report = exc.report
     status = "valid" if report.passed else "INVALID"
     print(
         f"{path}: {status} ({report.n_weights} weights, "

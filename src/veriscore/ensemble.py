@@ -120,7 +120,7 @@ class EnsembleSet:
     """
 
     def __init__(self, ids, observations, members):
-        ids = tuple(str(i) for i in ids)
+        ids = tuple(str(i).strip() for i in ids)  # as the readers strip them
         y = np.atleast_1d(np.asarray(observations, dtype=float))
         x = np.asarray(members, dtype=float)
         if y.ndim != 1 or x.ndim != 2 or x.shape[0] != y.size or len(ids) != y.size:

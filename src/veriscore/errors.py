@@ -14,7 +14,14 @@ class VeriscoreError(Exception):
 
 
 class ValidationError(VeriscoreError):
-    """Invalid input data, configuration, or arguments."""
+    """Invalid input data, configuration, or arguments.
+
+    ``report`` is the ``PartitionReport`` of a failed partition check.
+    """
+
+    def __init__(self, message, report=None):
+        super().__init__(message)
+        self.report = report
 
 
 class NumericError(VeriscoreError):

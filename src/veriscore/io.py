@@ -35,7 +35,8 @@ cite the file and physical line.  numpy's C text reader parses the
 body first; a file it refuses, or one that fails a check, is read
 again row by row with ``csv.reader`` and ``float``, which accept the
 same syntax and word the errors.  ``CaseSet`` and ``EnsembleSet`` take
-a read table as it is: ``_check_cases`` has checked it once.
+a read table as it is: ``_check_cases`` has checked it once; built
+directly, they strip each id first, as the reader does.
 
 JSON
 ----
@@ -117,7 +118,7 @@ class CaseSet:
     """Aligned arrays of forecast cases for one forecast system."""
 
     def __init__(self, ids, forecasts, observations):
-        ids = tuple(map(str, ids))
+        ids = tuple(str(i).strip() for i in ids)  # as the readers strip them
         x = np.atleast_1d(np.asarray(forecasts, dtype=float))
         y = np.atleast_1d(np.asarray(observations, dtype=float))
         if x.ndim != 1 or x.shape != y.shape or len(ids) != x.size:

@@ -5,7 +5,8 @@ chi_1, ..., chi_k with 0 <= chi_j <= 1 and sum_j chi_j(t) = 1 at every
 point of the interval of interest.  Weighting a scoring function by the
 chi_j splits it into per-region components that add back up to the
 original score, which is the basis of everything in
-:mod:`veriscore.decomposition`.
+:mod:`veriscore.decomposition`.  A :class:`PartitionOfUnity` checks
+this once, when it is built, exactly at the knots of table weights.
 
 Conventions
 -----------
@@ -96,16 +97,16 @@ __all__ = [
     "trapezoidal_partition",
     "normalized_partition",
     "arctan_pair",
-    "validate_partition",
     "parse_partition_config",
     "load_partition_config",
     "partition_config",
 ]
 
-PROBE_POINTS_DEFAULT = 10001
-SUM_TOLERANCE_DEFAULT = 1e-12
+PROBE_POINTS = 10001
+SUM_TOLERANCE = 1e-12
 
 _INF = math.inf
+_MAX = np.finfo(float).max
 
 
 @dataclass(frozen=True)
@@ -248,7 +249,7 @@ class WeightFunction:
         return (lo, hi)
 
     def finite_knots(self) -> tuple[float, ...]:
-        """Finite breakpoints, used for probe grids and quadrature."""
+        """Finite breakpoints, used by the partition check and quadrature."""
         return () if self.bounds is None else tuple(self.bounds.tolist())
 
     def __call__(self, t):
@@ -536,7 +537,7 @@ class NormalizedWeight(WeightFunction):
 
 @dataclass(frozen=True)
 class PartitionReport:
-    """Outcome of probing a candidate partition of unity."""
+    """Outcome of checking a candidate partition of unity."""
 
     passed: bool
     n_weights: int
@@ -548,21 +549,18 @@ class PartitionReport:
 
 
 class PartitionOfUnity:
-    """A validated family of weights summing to one on a domain.
+    """A family of weights checked to sum to one on a domain.
 
-    Validation probes the sum and the range of every weight on a dense
-    grid spanning the finite parameters of the weights, extended by one
-    span on each side and clipped to the domain.
+    The constructor keeps the check's outcome as ``report``, or raises
+    ``ValidationError`` carrying it.  The weights must be finite, lie in
+    [0, 1] and sum to one within ``SUM_TOLERANCE`` at every finite knot
+    of the weights and the domain, at each knot's left neighbour, and on
+    a grid of ``PROBE_POINTS`` spanning the knots widened by one span on
+    each side.  Table weights are linear between knots and constant
+    beyond them, so for them this is exact up to evaluation rounding.
     """
 
-    def __init__(
-        self,
-        weights,
-        domain: IntervalDomain = REAL_LINE,
-        *,
-        probe_points: int = PROBE_POINTS_DEFAULT,
-        validate: bool = True,
-    ):
+    def __init__(self, weights, domain: IntervalDomain = REAL_LINE):
         weights = tuple(weights)
         if not weights:
             raise ValidationError("a partition of unity needs at least one weight")
@@ -573,14 +571,12 @@ class PartitionOfUnity:
             raise ValidationError("domain must be an IntervalDomain")
         self.weights = weights
         self.domain = domain
-        self.probe_points = int(probe_points)
-        self._grid = None
-        if validate:
-            report = self.validate()
-            if not report.passed:
-                raise ValidationError(
-                    "not a partition of unity: " + "; ".join(report.messages)
-                )
+        self.report = self._check()
+        if not self.report.passed:
+            raise ValidationError(
+                "not a partition of unity: " + "; ".join(self.report.messages),
+                report=self.report,
+            )
 
     def __len__(self):
         return len(self.weights)
@@ -588,82 +584,65 @@ class PartitionOfUnity:
     def __iter__(self):
         return iter(self.weights)
 
-    def probe_grid(self) -> np.ndarray:
-        if self._grid is not None:
-            return self._grid
-        knots = [k for w in self.weights for k in w.finite_knots()]
-        if math.isfinite(self.domain.lower):
-            knots.append(self.domain.lower)
-        if math.isfinite(self.domain.upper):
-            knots.append(self.domain.upper)
-        if knots:
-            lo, hi = min(knots), max(knots)
-        else:
-            lo, hi = -10.0, 10.0
-        span = hi - lo if hi > lo else 1.0
-        grid = np.linspace(lo - span, hi + span, self.probe_points)
-        grid = grid[np.asarray(self.domain.contains(grid), dtype=bool)]
-        if grid.size < 2:
-            lo = self.domain.lower if math.isfinite(self.domain.lower) else -10.0
-            hi = self.domain.upper if math.isfinite(self.domain.upper) else 10.0
-            grid = np.linspace(lo, hi, self.probe_points, endpoint=False)
-        self._grid = grid
-        return grid
-
     def eval_matrix(self, t) -> np.ndarray:
         """Weight values at t, stacked as a (n_weights, n_points) matrix."""
         t = np.asarray(t, dtype=float)
         self.domain.require(t, "evaluation point")
         return np.stack([np.broadcast_to(w(t), t.shape) for w in self.weights])
 
-    def validate(self) -> PartitionReport:
-        grid = self.probe_grid()
-        messages = []
+    def _points(self) -> np.ndarray:
+        knots = [k for w in self.weights for k in w.finite_knots()]
+        knots += [e for e in (self.domain.lower, self.domain.upper) if math.isfinite(e)]
+        lo, hi = (min(knots), max(knots)) if knots else (-10.0, 10.0)
+        span = hi - lo if hi > lo else 1.0
+        # halved ends keep the grid finite out to the largest float
+        a, b = max(lo - span, -_MAX), min(hi + span, _MAX)
+        grid = 2.0 * np.linspace(a / 2, b / 2, PROBE_POINTS)
+        knots = np.array(sorted(set(knots)))
+        points = np.concatenate([grid, knots, np.nextafter(knots, -_INF)])
+        return points[self.domain.contains(points)]
+
+    def _check(self) -> PartitionReport:
+        points = self._points()
+        n, tol = len(self.weights), SUM_TOLERANCE
         try:
-            mat = self.eval_matrix(grid)
+            mat = self.eval_matrix(points)
         except (ValidationError, NumericError) as exc:
-            return PartitionReport(
-                passed=False,
-                n_weights=len(self.weights),
-                n_probe=grid.size,
-                tolerance=SUM_TOLERANCE_DEFAULT,
-                max_sum_error=math.inf,
-                worst_point=math.nan,
-                messages=(str(exc),),
-            )
+            return PartitionReport(False, n, points.size, tol, _INF, math.nan, (str(exc),))
+        messages = []
+        finite = np.isfinite(mat)
+        if not finite.all():
+            j, i = np.argwhere(~finite)[0]
+            messages.append(f"weight {j} is {mat[j, i]} at t={points[i]:.9g}")
         sums = mat.sum(axis=0)
         err = np.abs(sums - 1.0)
+        err[np.isnan(err)] = _INF  # a NaN sum ranks worst
         worst = int(np.argmax(err))
         max_err = float(err[worst])
-        if max_err > SUM_TOLERANCE_DEFAULT:
+        if max_err > tol:
             messages.append(
-                f"weights sum to {sums[worst]:.15g} at t={grid[worst]:.9g} "
-                f"(error {max_err:.3e} > tol {SUM_TOLERANCE_DEFAULT:.1e})"
+                f"weights sum to {sums[worst]:.15g} at t={points[worst]:.9g} "
+                f"(error {max_err:.3e} > tol {tol:.1e})"
             )
         for j, row in enumerate(mat):
             lo, hi = float(row.min()), float(row.max())
-            if lo < -SUM_TOLERANCE_DEFAULT or hi > 1.0 + SUM_TOLERANCE_DEFAULT:
+            if lo < -tol or hi > 1.0 + tol:
                 messages.append(
                     f"weight {j} leaves [0, 1]: range [{lo:.15g}, {hi:.15g}]"
                 )
         return PartitionReport(
             passed=not messages,
-            n_weights=len(self.weights),
-            n_probe=grid.size,
-            tolerance=SUM_TOLERANCE_DEFAULT,
+            n_weights=n,
+            n_probe=points.size,
+            tolerance=tol,
             max_sum_error=max_err,
-            worst_point=float(grid[worst]),
+            worst_point=float(points[worst]),
             messages=tuple(messages),
         )
 
 
-def validate_partition(partition: PartitionOfUnity) -> PartitionReport:
-    """Probe a partition and report without raising."""
-    return partition.validate()
-
-
 def rectangular_partition(
-    cutpoints, domain: IntervalDomain = REAL_LINE, **kwargs
+    cutpoints, domain: IntervalDomain = REAL_LINE
 ) -> PartitionOfUnity:
     """Half-open cells between consecutive cut points.
 
@@ -676,7 +655,7 @@ def rectangular_partition(
         raise ValidationError("rectangular partition needs at least one cut point")
     if not np.all(np.isfinite(cuts)):
         raise ValidationError("cut points must be finite")
-    if not np.all(np.diff(cuts) > 0):
+    if not np.all(cuts[1:] > cuts[:-1]):
         raise ValidationError("cut points must be strictly ascending")
     if cuts[0] <= domain.lower or cuts[-1] >= domain.upper:
         raise ValidationError(
@@ -685,11 +664,11 @@ def rectangular_partition(
         )
     edges = [domain.lower, *cuts.tolist(), domain.upper]
     weights = [RectangularWeight(a, b) for a, b in zip(edges[:-1], edges[1:])]
-    return PartitionOfUnity(weights, domain, **kwargs)
+    return PartitionOfUnity(weights, domain)
 
 
 def trapezoidal_partition(
-    ramps, domain: IntervalDomain = REAL_LINE, **kwargs
+    ramps, domain: IntervalDomain = REAL_LINE
 ) -> PartitionOfUnity:
     """Trapezoidal cells with linear crossfades over the given ramps.
 
@@ -715,20 +694,20 @@ def trapezoidal_partition(
         TrapezoidalWeight(lo0, hi0, lo1, hi1)
         for (lo0, hi0), (lo1, hi1) in zip(edges[:-1], edges[1:])
     ]
-    return PartitionOfUnity(weights, domain, **kwargs)
+    return PartitionOfUnity(weights, domain)
 
 
 def normalized_partition(
-    components, domain: IntervalDomain = REAL_LINE, **kwargs
+    components, domain: IntervalDomain = REAL_LINE
 ) -> PartitionOfUnity:
     """Normalize nonnegative functions psi_j to chi_j = psi_j / sum(psi)."""
     components = tuple(components)
     weights = [NormalizedWeight(j, components) for j in range(len(components))]
-    return PartitionOfUnity(weights, domain, **kwargs)
+    return PartitionOfUnity(weights, domain)
 
 
 def arctan_pair(
-    center, domain: IntervalDomain = REAL_LINE, **kwargs
+    center, domain: IntervalDomain = REAL_LINE
 ) -> PartitionOfUnity:
     """Strictly positive two-weight partition splitting softly at center.
 
@@ -737,7 +716,7 @@ def arctan_pair(
     component built from them stays strictly consistent.
     """
     weights = [ArctanLowerWeight(center), ArctanUpperWeight(center)]
-    return PartitionOfUnity(weights, domain, **kwargs)
+    return PartitionOfUnity(weights, domain)
 
 
 # --- configuration parsing -------------------------------------------------
@@ -817,7 +796,7 @@ def _parse_weight(entry, field: str, allow_normalized: bool = True) -> WeightFun
     return NormalizedWeight(idx, parsed)
 
 
-def parse_partition_config(obj, source: str = "<config>", **kwargs) -> PartitionOfUnity:
+def parse_partition_config(obj, source: str = "<config>") -> PartitionOfUnity:
     """Build a partition from a parsed JSON object (see module docstring)."""
     if not isinstance(obj, dict):
         raise ValidationError(f"{source}: partition config must be a JSON object")
@@ -849,19 +828,19 @@ def parse_partition_config(obj, source: str = "<config>", **kwargs) -> Partition
         if not isinstance(cuts, list) or not cuts:
             raise ValidationError(f"{source}: cutpoints: expected a non-empty list")
         vals = [_num_in(c, f"{source}: cutpoints[{i}]") for i, c in enumerate(cuts)]
-        return rectangular_partition(vals, domain, **kwargs)
+        return rectangular_partition(vals, domain)
     entries = obj["weights"]
     if not isinstance(entries, list) or not entries:
         raise ValidationError(f"{source}: weights: expected a non-empty list")
     weights = [
         _parse_weight(e, f"{source}: weights[{i}]") for i, e in enumerate(entries)
     ]
-    return PartitionOfUnity(weights, domain, **kwargs)
+    return PartitionOfUnity(weights, domain)
 
 
-def load_partition_config(path, **kwargs) -> PartitionOfUnity:
-    """Read and validate a partition configuration file."""
-    return parse_partition_config(read_json(path), source=str(path), **kwargs)
+def load_partition_config(path) -> PartitionOfUnity:
+    """Read and check a partition configuration file."""
+    return parse_partition_config(read_json(path), source=str(path))
 
 
 def partition_config(partition: PartitionOfUnity) -> dict:

@@ -77,13 +77,13 @@ def _random_partition(rng):
     if kind == 0:
         k = int(rng.integers(1, 5))  # between 2 and 5 cells
         cuts = np.sort(rng.choice(np.linspace(-45.0, 45.0, 4001), k, replace=False))
-        return rectangular_partition(cuts, probe_points=301)
+        return rectangular_partition(cuts)
     if kind == 1:
         k = int(rng.integers(1, 3))
         pts = np.sort(rng.choice(np.linspace(-40.0, 40.0, 4001), 2 * k, replace=False))
         ramps = [(float(pts[2 * i]), float(pts[2 * i + 1])) for i in range(k)]
-        return trapezoidal_partition(ramps, probe_points=301)
-    return arctan_pair(float(rng.uniform(-40.0, 40.0)), probe_points=301)
+        return trapezoidal_partition(ramps)
+    return arctan_pair(float(rng.uniform(-40.0, 40.0)))
 
 
 def test_criterion_1_decomposition_identity():
@@ -183,7 +183,7 @@ def test_criterion_4_components_are_consistent():
                 spec = huber_loss(float(rng.uniform(0.3, 3.0)))
             oracle = functional_value(spec, dist)
             center = float(rng.uniform(vals[0], vals[-1]))
-            regions = decompose(spec, arctan_pair(center, probe_points=301))
+            regions = decompose(spec, arctan_pair(center))
             lo, hi = float(dist.values[0]), float(dist.values[-1])
             grid = np.linspace(lo, hi, 1001)
             pitch = (hi - lo) * 1e-3

@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 import veriscore
 from veriscore import (
     CaseSet,
+    EnsembleSet,
     ForecastCase,
     ValidationError,
     fmt12,
@@ -78,6 +80,24 @@ def test_case_set_validation_and_access():
         CaseSet(["a", ""], [1.0, 2.0], [0.5, 2.5])
     with pytest.raises(ValidationError):
         CaseSet(["a", "a"], [1.0, 2.0], [0.5, 2.5])
+
+
+def test_constructed_ids_are_the_ids_a_reader_reads(tmp_path):
+    # a CaseSet or EnsembleSet strips each id as the CSV reader does
+    with pytest.raises(ValidationError, match="case ids must be unique"):
+        CaseSet(["a", " a "], [1.0, 2.0], [0.5, 2.5])
+    with pytest.raises(ValidationError, match="case ids must be non-empty"):
+        CaseSet([" "], [1.0], [0.5])
+    with pytest.raises(ValidationError, match="case ids must be unique"):
+        EnsembleSet(["a", "a\t"], [1.0, 2.0], [[1.0], [2.0]])
+    with pytest.raises(ValidationError, match="case ids must be non-empty"):
+        EnsembleSet(["\n"], [1.0], [[1.0]])
+    cs = CaseSet([" b", "c"], [1.0, 2.0], [0.5, 2.5])
+    assert cs.ids == ("b", "c")
+    write_cases_csv(cs, tmp_path / "c.csv")
+    assert read_cases_csv(tmp_path / "c.csv").ids == cs.ids
+    ens = EnsembleSet([" b ", "c"], [1.0, 2.0], [[1.0, 3.0], [2.0, 2.5]])
+    assert ens.ids == ("b", "c")
 
 
 def test_cases_csv_round_trip_is_bitwise(tmp_path):
@@ -400,9 +420,10 @@ def test_writers_match_csv_writer_fmt12_and_float(tmp_path, monkeypatch, affixes
     x, y, z = rng.normal(0.0, 10.0, (3, n)) * 10.0 ** rng.integers(-12, 12, (3, n))
     columns = {f"{name}{j}": col for j, (name, col) in enumerate(zip(names, (x, y, z)))}
     scores = _reference_table(["case_id", *columns], ids, columns.values())
-    cases = _reference_table(["case_id", "forecast", "obs"], ids, [x, y])
-    paired = _reference_table(["case_id", "forecast_a", "forecast_b", "obs"], ids, [x, z, y])
+    # a CaseSet strips its ids as the reader does
     stripped = tuple(i.strip() for i in ids)
+    cases = _reference_table(["case_id", "forecast", "obs"], stripped, [x, y])
+    paired = _reference_table(["case_id", "forecast_a", "forecast_b", "obs"], stripped, [x, z, y])
     for rows in (1, 3, veriscore.io.WRITE_BLOCK_ROWS):
         monkeypatch.setattr(veriscore.io, "WRITE_BLOCK_ROWS", rows)
         means = write_scores_csv(tmp_path / "s.csv", ids, columns)
@@ -636,6 +657,25 @@ def test_cli_config_keys_are_the_subcommands_flags(tmp_path, capsys):
     assert (tmp_path / "c.hedge.json").read_bytes() == flagged
 
 
+def test_cli_config_booleans_exit_2_before_any_file(tmp_path, capsys):
+    # no flag is boolean, so a JSON true or false is never a flag's value
+    cases, paired = tmp_path / "c.csv", tmp_path / "p.csv"
+    _write_cases(cases, [["a", 12, 8], ["b", 5, 7]])
+    paired.write_text("case_id,forecast_a,forecast_b,obs\na,12,11,8\nb,5,6,7\n")
+    out = str(tmp_path / "o")
+    runs = (
+        ("score", {"functional": "huber_mean", "nu": True, "input": str(cases)}, "'nu'", True),
+        ("synth", {"n": True, "seed": False}, "'n'", True),
+        ("compare", {"functional": "quantile", "alpha": 0.5, "input": str(paired),
+                     "bootstrap_samples": False}, "'bootstrap_samples'", False),
+    )
+    for command, cfg, key, value in runs:
+        assert _run_with_config(tmp_path, command, {**cfg, "out": out}) == 2
+        err = capsys.readouterr().err
+        assert f"config key {key} for {command}: invalid value {value}" in err
+    assert not list(tmp_path.glob("o.*"))
+
+
 def test_cli_grid_labels_and_generator_read_alike_from_flags_and_config(tmp_path):
     assert main(["synth", "--n", "300", "--seed", "2", "--out", str(tmp_path / "d")]) == 0
     paired = str(tmp_path / "d.cases.csv")
@@ -784,6 +824,59 @@ def test_cli_validate_partition_exit_codes(tmp_path, capsys):
     )
     assert main(["validate-partition", "--partition", str(bad)]) == 2
     assert "weights[0]: unknown fields ['center']" in capsys.readouterr().err
+
+
+def _cells(first_end, second_start):
+    return {
+        "weights": [
+            {"kind": "rectangular", "a": "-inf", "b": first_end},
+            {"kind": "rectangular", "a": second_start, "b": 100},
+            {"kind": "rectangular", "a": 100, "b": "inf"},
+        ]
+    }
+
+
+@pytest.mark.parametrize(
+    "config, wrong_sum",
+    [(_cells(0, 1e-6), "weights sum to 0 at t=0 "), (_cells(1e-6, 0), "weights sum to 2 at t=0 ")],
+    ids=["gap", "overlap"],
+)
+def test_cli_narrow_gap_or_overlap_exits_2_before_any_file(tmp_path, capsys, config, wrong_sum):
+    part = tmp_path / "part.json"
+    part.write_text(json.dumps(config))
+    assert main(["validate-partition", "--partition", str(part)]) == 2
+    out = capsys.readouterr().out
+    assert "INVALID" in out and wrong_sum in out
+    cases, paired, ens = tmp_path / "c.csv", tmp_path / "p.csv", tmp_path / "e.csv"
+    _write_cases(cases, [["c1", -1, 2], ["c2", 0, 5e-7]])
+    paired.write_text("case_id,forecast_a,forecast_b,obs\nc1,-1,1,2\nc2,0,1,5e-7\n")
+    ens.write_text("case_id,obs,m1,m2\nc1,2,-1,1\nc2,5e-7,0,1\n")
+    spec = ["--functional", "expectile", "--alpha", "0.5"]
+    runs = (["score", *spec, "--input", str(cases)], ["compare", *spec, "--input", str(paired)],
+            ["crps", "--input", str(ens)])
+    for argv in runs:
+        assert main([*argv, "--partition", str(part), "--out", str(tmp_path / "o")]) == 2
+        assert wrong_sum in capsys.readouterr().err, argv[0]
+    assert not list(tmp_path.glob("o.*"))
+
+
+def test_cli_extreme_cutpoints_validate_without_warnings(tmp_path, capsys):
+    part = tmp_path / "part.json"
+    part.write_text(json.dumps({"cutpoints": [-1e308, 1e308]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["validate-partition", "--partition", str(part)]) == 0
+    captured = capsys.readouterr()
+    assert ": valid (" in captured.out and captured.err == ""
+    # the same cells with the last one starting at 1.0000001e308
+    config = {"weights": [
+        {"kind": "rectangular", "a": "-inf", "b": -1e308},
+        {"kind": "rectangular", "a": -1e308, "b": 1e308},
+        {"kind": "rectangular", "a": 1.0000001e308, "b": "inf"},
+    ]}
+    part.write_text(json.dumps(config))
+    assert main(["validate-partition", "--partition", str(part)]) == 2
+    assert "weights sum to 0 at t=1e+308 " in capsys.readouterr().out
 
 
 def test_cli_error_exit_codes(tmp_path, capsys):

@@ -1,9 +1,14 @@
 """Weight functions, partitions of unity, and their config round trip."""
 
 import json
+import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from veriscore import (
@@ -17,6 +22,7 @@ from veriscore import (
     TabulatedWeight,
     TrapezoidalWeight,
     ValidationError,
+    WeightFunction,
     arctan_pair,
     expectile_score,
     huber_loss,
@@ -28,8 +34,8 @@ from veriscore import (
     region_generator,
     trapezoidal_partition,
     normalized_partition,
-    validate_partition,
 )
+from veriscore.partition import SUM_TOLERANCE
 
 
 def _moments(w, lo, hi, y):
@@ -214,7 +220,7 @@ def test_trapezoidal_partition_sums_to_one():
 
 def test_arctan_pair_is_valid_partition():
     p = arctan_pair(10.0)
-    rep = validate_partition(p)
+    rep = p.report
     assert rep.passed and rep.max_sum_error <= 1e-12
     assert p.weights[1].kind == "arctan_upper"
 
@@ -224,11 +230,125 @@ def test_partition_rejects_gaps_and_overlaps():
     with pytest.raises(ValidationError):
         PartitionOfUnity(gap, IntervalDomain(0.0, 3.0))
     overlap = [RectangularWeight(0.0, 2.0), RectangularWeight(1.0, 3.0)]
-    rep = PartitionOfUnity(
-        overlap, IntervalDomain(0.0, 3.0), validate=False
-    ).validate()
+    with pytest.raises(ValidationError) as caught:
+        PartitionOfUnity(overlap, IntervalDomain(0.0, 3.0))
+    rep = caught.value.report
     assert not rep.passed
     assert rep.max_sum_error >= 1.0 - 1e-12
+
+
+def _nan_point(message):
+    # the point a "weight j is nan at t=..." message names
+    found = re.search(r"weight (\d+) is nan at t=([^;\s]+)", message)
+    assert found, message
+    return int(found[1]), float(found[2])
+
+
+class _NanOnUnitCell(WeightFunction):
+    # a user-defined weight: 1 below 0, NaN on [0, 1), 0 from 1 on
+    kind = "nan_on_unit_cell"
+
+    def __init__(self):
+        pass
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        return np.where(t < 0.0, 1.0, np.where(t < 1.0, np.nan, 0.0))
+
+
+def test_nan_weights_fail_the_check():
+    with pytest.raises(ValidationError) as caught:
+        PartitionOfUnity([_NanOnUnitCell(), RectangularWeight(0.0, np.inf)])
+    rep = caught.value.report
+    assert not rep.passed and rep.max_sum_error == np.inf
+    j, t = _nan_point(str(caught.value))
+    assert j == 0 and 0.0 <= t < 1.0
+
+
+def test_normalized_nan_component_fails_the_check():
+    def nan_above_5(t):
+        return np.where(np.asarray(t) > 5.0, np.nan, 1.0)
+
+    with pytest.raises(ValidationError) as caught:
+        normalized_partition([RectangularWeight(0.0, 10.0), nan_above_5])
+    assert not caught.value.report.passed
+    j, t = _nan_point(str(caught.value))
+    assert j == 0 and t > 5.0
+
+
+def _exact_chi(shape, t, left):
+    # chi(t) of the trapezoid a <= b <= c <= d, or its left limit at t,
+    # in exact arithmetic; a rectangle [a, b) is the trapezoid (a, a, b, b)
+    a, b, c, d = shape
+    below = (lambda e: t <= e) if left else (lambda e: t < e)
+    if below(a):
+        return Fraction(0)
+    if below(b):
+        return (t - Fraction(a)) / (Fraction(b) - Fraction(a))
+    if below(c):
+        return Fraction(1)
+    if below(d):
+        return (Fraction(d) - t) / (Fraction(d) - Fraction(c))
+    return Fraction(0)
+
+
+def _exact_deviation(shapes):
+    # the sum is linear between the union knots, constant beyond them
+    # and right-continuous, so its sup distance from 1 is attained at a
+    # knot or as a left limit there
+    knots = {Fraction(v) for shape in shapes for v in shape if math.isfinite(v)}
+    return max(
+        abs(sum(_exact_chi(shape, k, left) for shape in shapes) - 1)
+        for k in knots
+        for left in (False, True)
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["rectangular", "trapezoidal"]),
+    ints=st.lists(st.integers(-1000, 1000), min_size=2, max_size=6, unique=True),
+    scale=st.floats(1e-3, 1e3),
+    offset=st.floats(-1e4, 1e4),
+    pick=st.integers(0, 1000),
+    frac=st.floats(0.0, 1e-3),
+    sign=st.sampled_from([-1.0, 1.0]),
+)
+@example(kind="rectangular", ints=[0, 1], scale=1.0, offset=0.0, pick=1, frac=0.0, sign=1.0)
+@example(kind="rectangular", ints=[0, 1], scale=1.0, offset=0.5, pick=2, frac=0.0, sign=-1.0)
+@example(kind="trapezoidal", ints=[0, 1], scale=1.0, offset=0.0, pick=0, frac=1e-3, sign=1.0)
+def test_partition_check_matches_an_exact_check_at_the_knots(
+    kind, ints, scale, offset, pick, frac, sign
+):
+    # a valid family with one cutpoint of one weight moved by 1 ulp to 1e-3 of the span
+    cuts = sorted(offset + scale * k for k in ints)
+    span = cuts[-1] - cuts[0]
+    assume(min(np.diff(cuts)) > 2.5e-3 * span)  # the move keeps each weight well formed
+    if kind == "rectangular":
+        edges = [-math.inf, *cuts, math.inf]
+        params = [[a, b] for a, b in zip(edges[:-1], edges[1:])]
+    else:
+        ramps = [(-math.inf, -math.inf), *zip(cuts[0:-1:2], cuts[1::2]), (math.inf, math.inf)]
+        params = [[*lo, *hi] for lo, hi in zip(ramps[:-1], ramps[1:])]
+    slots = [(j, i) for j, p in enumerate(params) for i, v in enumerate(p) if math.isfinite(v)]
+    j, i = slots[pick % len(slots)]
+    v = params[j][i]
+    moved = v + sign * frac * span
+    params[j][i] = moved if moved != v else float(np.nextafter(v, sign * math.inf))
+    if kind == "rectangular":
+        weights = [RectangularWeight(a, b) for a, b in params]
+        shapes = [(a, a, b, b) for a, b in params]
+    else:
+        weights = [TrapezoidalWeight(*p) for p in params]
+        shapes = params
+    deviation = _exact_deviation(shapes)
+    # within rounding of the tolerance itself either verdict is right
+    assume(abs(deviation - Fraction(SUM_TOLERANCE)) > Fraction(SUM_TOLERANCE) / 100)
+    if deviation > SUM_TOLERANCE:
+        with pytest.raises(ValidationError, match="not a partition of unity"):
+            PartitionOfUnity(weights)
+    else:
+        assert PartitionOfUnity(weights).report.passed
 
 
 def test_random_partitions_sum_to_one():
