@@ -24,7 +24,8 @@ own suffixes (for example ``run1`` becomes ``run1.cases.csv`` and
 from them carry 12 significant digits (echoed settings keep full
 precision); summaries are computed from the rounded per-case values,
 so re-deriving a summary from a written cases file reproduces it exactly.
-A short human-readable summary is printed to stdout.
+A short human-readable summary is printed to stdout; the means it
+prints are the summary's means, to two decimals.
 
 Exit codes: 0 on success, 2 for invalid inputs or configuration, 3
 when numerical integration cannot reach its accuracy target or a score
@@ -42,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from .elementary import murphy_curve, write_murphy_csv, write_murphy_meta
-from .ensemble import crps, crps_components, read_ensemble_csv
+from .ensemble import crps, crps_decomposed, read_ensemble_csv
 from .errors import NumericError, ValidationError
 from .evaluation import (
     STREAMS,
@@ -186,13 +187,9 @@ def _write_scores(out, ids, score_echo, partition, totals, comps) -> int:
         "mean": {"total": total, "components": None if comps is None else components},
     }
     write_json(summary, f"{out}.summary.json")
-    print(f"{len(ids)} cases, mean score {float(np.mean(totals)):.2f}")
+    print(f"{len(ids)} cases, mean score {total:.2f}")
     if comps is not None:
-        print(
-            "  ".join(
-                f"component {j}: {float(np.mean(c)):.2f}" for j, c in enumerate(comps)
-            )
-        )
+        print("  ".join(f"component {j}: {c:.2f}" for j, c in enumerate(components)))
     print(f"wrote {out}.cases.csv and {out}.summary.json")
     return 0
 
@@ -262,8 +259,11 @@ def _cmd_crps(args) -> int:
     y = ensembles.observations
     # an overflow shows as a score that require_finite names, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        totals = crps(ensembles, y)
-        comps = None if partition is None else crps_components(ensembles, y, partition)
+        if partition is None:
+            totals, comps = crps(ensembles, y), None
+        else:
+            scores = crps_decomposed(ensembles, y, partition)
+            totals, comps = scores.total, scores.per_component
     require_finite(ensembles.ids, totals, comps)
     return _write_scores(out, ensembles.ids, {"kind": "crps"}, partition, totals, comps)
 

@@ -14,15 +14,16 @@ are ``WeightFunction.integral``: exact for the piecewise-linear and
 arctan weight kinds, and for normalized weights one vectorized
 Gauss–Kronrod pass over all segments (``veriscore.quadrature``).
 
-``crps`` and ``crps_components`` score one ``EmpiricalCDF`` or an
-``EnsembleSet`` (n cases of m equally weighted members, as
-``read_ensemble_csv`` returns) with one batched kernel; a single CDF
-is one row of it.  Each row's points are sorted together with its
-observation once.  On a segment of nonzero width at position i,
-i + 1 - [y <= left] points lie at or below its left edge, which indexes
-the CDF level.  The total and each component are one dot product per
-row, over that row's segments alone, of the squared heights against
-the segment widths or the weight integrals.  Rows go through in blocks
+``crps``, ``crps_components`` and ``crps_decomposed`` score one
+``EmpiricalCDF`` or an ``EnsembleSet`` (n cases of m equally weighted
+members, as ``read_ensemble_csv`` returns) with one batched kernel; a
+single CDF is one row of it.  Each row's points are sorted together
+with its observation once.  On a segment of nonzero width at position
+i, i + 1 - [y <= left] points lie at or below its left edge, which
+indexes the CDF level.  The total and each component are one dot
+product per row, over that row's segments alone, of the squared heights
+against the segment widths or the weight integrals, so the total and
+the components come from one kernel pass.  Rows go through in blocks
 of ``CRPS_BLOCK_BYTES`` of edges, so memory stays bounded.
 
 A degenerate (single point) forecast distribution reduces the CRPS to
@@ -211,7 +212,7 @@ def _step_crps(points, y, levels, weights=(), ids=None) -> np.ndarray:
         # gets; rows with c segments form one (rows, c) matrix
         count = np.bincount(row, minlength=yb.size)
         first = np.cumsum(count) - count
-        for c in np.unique(count[count > 0]):
+        for c in np.flatnonzero(np.bincount(count)[1:]) + 1:
             rows = np.flatnonzero(count == c)
             take = first[rows, None] + np.arange(c)
             h = heights[take]
@@ -220,15 +221,25 @@ def _step_crps(points, y, levels, weights=(), ids=None) -> np.ndarray:
     return out
 
 
+def _crps_pass(cdf, y, partition=None) -> DecomposedScore:
+    """The total and, under a partition, its components: one kernel pass."""
+    points, y, levels, ids = _kernel_args(cdf, y)
+    weights = () if partition is None else tuple(partition)
+    if weights:
+        _require_domain(partition.domain, points, y, ids)
+    rows = _step_crps(points, y, levels, weights, ids)
+    if isinstance(cdf, EnsembleSet):
+        return DecomposedScore(per_component=rows[1:], total=rows[0])
+    return DecomposedScore(per_component=rows[1:, 0], total=float(rows[0, 0]))
+
+
 def crps(cdf, y):
     """Exact CRPS of a step CDF at a finite observation.
 
     One ``EmpiricalCDF`` and a scalar y give a float; an ``EnsembleSet``
     and its (n,) observations give (n,) scores.
     """
-    points, y, levels, _ = _kernel_args(cdf, y)
-    total = _step_crps(points, y, levels)[0]
-    return total if isinstance(cdf, EnsembleSet) else float(total[0])
+    return _crps_pass(cdf, y).total
 
 
 def crps_components(cdf, y, partition: PartitionOfUnity) -> np.ndarray:
@@ -237,18 +248,12 @@ def crps_components(cdf, y, partition: PartitionOfUnity) -> np.ndarray:
     (k,) for one ``EmpiricalCDF``, (k, n) for an ``EnsembleSet``, as
     ``score_components`` returns.  Errors of a set name the case id.
     """
-    points, y, levels, ids = _kernel_args(cdf, y)
-    _require_domain(partition.domain, points, y, ids)
-    comps = _step_crps(points, y, levels, tuple(partition), ids)[1:]
-    return comps if isinstance(cdf, EnsembleSet) else comps[:, 0]
+    return _crps_pass(cdf, y, partition).per_component
 
 
 def crps_decomposed(cdf, y, partition: PartitionOfUnity) -> DecomposedScore:
-    """Components plus the directly integrated total."""
-    return DecomposedScore(
-        per_component=crps_components(cdf, y, partition),
-        total=crps(cdf, y),
-    )
+    """Components plus the directly integrated total, from one kernel pass."""
+    return _crps_pass(cdf, y, partition)
 
 
 def read_ensemble_csv(path) -> EnsembleSet:

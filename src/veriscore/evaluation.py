@@ -237,11 +237,10 @@ def _align(cases_a: CaseSet, cases_b: CaseSet) -> CaseSet:
 BOOTSTRAP_CHUNK_BYTES = 32 << 20  # memory for one chunk of resample counts
 
 
-def _normal_ci(rows: np.ndarray, level_z: float = 1.96):
+def _normal_ci(rows: np.ndarray, means: np.ndarray, level_z: float = 1.96):
     n = rows.shape[1]
     if n < 2:
         raise ValidationError("confidence intervals need at least 2 cases")
-    means = rows.mean(axis=1)
     half = level_z * rows.std(axis=1, ddof=1) / math.sqrt(n)
     return np.column_stack([means - half, means + half])
 
@@ -308,8 +307,9 @@ def compare(
     rows = (totals_a - totals_b)[None, :]
     if partition is not None:
         rows = np.vstack([rows, comps_a - comps_b])
+    means = rows.mean(axis=1)
     if ci == "normal":
-        bounds = _normal_ci(rows)
+        bounds = _normal_ci(rows, means)
         samples_used = None
     else:
         if not 1 <= bootstrap_samples <= 10**6:
@@ -330,10 +330,8 @@ def compare(
         mean_b=float(totals_b.mean()),
         mean_components_a=None if comps_a is None else comps_a.mean(axis=1),
         mean_components_b=None if comps_b is None else comps_b.mean(axis=1),
-        mean_diff=float((totals_a - totals_b).mean()),
-        mean_diff_components=(
-            None if comps_a is None else (comps_a - comps_b).mean(axis=1)
-        ),
+        mean_diff=float(means[0]),
+        mean_diff_components=None if comps_a is None else means[1:],
         ci_total=(float(bounds[0, 0]), float(bounds[0, 1])),
         ci_components=None if partition is None else bounds[1:],
         ci_method=ci,

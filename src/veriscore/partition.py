@@ -355,11 +355,12 @@ class TrapezoidalWeight(WeightFunction):
             raise ValidationError("an infinite right edge requires c = d = +inf")
         if a == d:
             raise ValidationError("trapezoidal weight has empty support (a == d)")
-        if (math.isfinite(a) and not math.isfinite(b)) or (
-            math.isfinite(d) and not math.isfinite(c)
-        ):
+        # an infinite edge pair gives nan here; a ramp to infinity, or one
+        # whose length overflows, gives inf
+        if b - a > _MAX or d - c > _MAX:
             raise ValidationError(
-                f"trapezoidal weight {(a, b, c, d)} has a ramp of infinite length"
+                f"trapezoidal weight {(a, b, c, d)} has a ramp of infinite "
+                "length or longer than the largest float"
             )
         self.a, self.b, self.c, self.d = a, b, c, d
         super().__init__(*_trapezoid_table(a, b, c, d))
@@ -385,8 +386,12 @@ class TabulatedWeight(WeightFunction):
             )
         if not np.all(np.isfinite(bp)):
             raise ValidationError("tabulated breakpoints must be finite")
-        if not np.all(np.diff(bp) > 0):
+        if not np.all(bp[1:] > bp[:-1]):
             raise ValidationError("tabulated breakpoints must be strictly ascending")
+        if np.any(np.diff(bp / 2) > _MAX / 2):  # halves cannot overflow
+            raise ValidationError(
+                "tabulated weight has a segment longer than the largest float"
+            )
         if not np.all(np.isfinite(v)) or v.min() < 0.0 or v.max() > 1.0:
             raise ValidationError("tabulated values must lie in [0, 1]")
         self.breakpoints = bp

@@ -264,7 +264,12 @@ def test_results_do_not_depend_on_the_block_budget(monkeypatch):
     partition = arctan_pair(0.5)
 
     def results():
-        return crps(ens, y).tobytes(), crps_components(ens, y, partition).tobytes()
+        d = crps_decomposed(ens, y, partition)
+        # the total and the components of one kernel pass are the ones
+        # that crps and crps_components return, bit for bit
+        assert d.total.tobytes() == crps(ens, y).tobytes()
+        assert d.per_component.tobytes() == crps_components(ens, y, partition).tobytes()
+        return d.total.tobytes(), d.per_component.tobytes()
 
     default = results()  # every row in one block
     for rows in (1, 3):
@@ -275,6 +280,9 @@ def test_results_do_not_depend_on_the_block_budget(monkeypatch):
     for i, (_, obs, cdf) in enumerate(ens):
         assert crps(cdf, obs) == totals[i]
         assert crps_components(cdf, obs, partition).tobytes() == comps[:, i].tobytes()
+        d = crps_decomposed(cdf, obs, partition)
+        assert type(d.total) is float and d.total == totals[i]
+        assert d.per_component.tobytes() == comps[:, i].tobytes()
         total, parts = _loop(members[i], obs, partition)
         assert total == totals[i] and parts.tobytes() == comps[:, i].tobytes()
 
@@ -362,6 +370,27 @@ def _tied_ensemble_csv(path):
         cells = [repr(float(v)) for v in (obs[i], *members[i])]
         lines.append(f"c{i:03d}," + ",".join(cells))
     path.write_text("\n".join(lines) + "\n")
+
+
+def test_cli_crps_runs_the_kernel_once(tmp_path, monkeypatch):
+    from veriscore.cli import main
+
+    calls = []
+    kernel = veriscore.ensemble._step_crps
+
+    def counted(*args, **kwargs):
+        rows = kernel(*args, **kwargs)
+        calls.append(len(rows))
+        return rows
+
+    monkeypatch.setattr(veriscore.ensemble, "_step_crps", counted)
+    _tied_ensemble_csv(tmp_path / "ens.csv")
+    (tmp_path / "part.json").write_text('{"cutpoints": [-2.5, 0, 2.5]}')
+    argv = ["crps", "--input", str(tmp_path / "ens.csv"), "--out", str(tmp_path / "c")]
+    assert main([*argv, "--partition", str(tmp_path / "part.json")]) == 0
+    assert calls == [5]  # one pass gives the total and the four components
+    assert main(argv) == 0
+    assert calls == [5, 1]
 
 
 def test_cli_crps_output_bytes_are_pinned(tmp_path):

@@ -601,6 +601,40 @@ def test_cli_score_partition_output_bytes_are_pinned(tmp_path):
     }
 
 
+@pytest.mark.parametrize(
+    "ci, digest",
+    [
+        (["--ci", "normal"],
+         "f95771e956be550cf355a5df9487806902b37ff708db998b68f68082e46fcfc9"),
+        (["--ci", "bootstrap", "--bootstrap-samples", "400", "--seed", "2"],
+         "2f5b195cbe3e1f4e86a896a11b527aec12e28d6bd74620fff5f330fabf2f6c4c"),
+    ],
+    ids=["normal", "bootstrap"],
+)
+def test_cli_compare_report_bytes_are_pinned(tmp_path, ci, digest):
+    assert main(["synth", "--n", "1500", "--seed", "9", "--out", str(tmp_path / "d")]) == 0
+    part = tmp_path / "p.json"
+    part.write_text(json.dumps({"cutpoints": [-10.0, 0.0, 10.0]}))
+    argv = ["compare", "--functional", "expectile", "--alpha", "0.5", *ci]
+    argv += ["--input", str(tmp_path / "d.cases.csv"), "--partition", str(part)]
+    assert main([*argv, "--out", str(tmp_path / "c")]) == 0
+    assert _digests(tmp_path / "c", ("report.json",)) == {"report.json": digest}
+
+
+def test_cli_prints_the_means_of_the_summary(tmp_path, capsys):
+    # the score 0.004999999999999 is written as 0.005, which prints as 0.01
+    inp = tmp_path / "in.csv"
+    inp.write_text("case_id,forecast,obs\nc1,0.009999999999998,0\n")
+    part = tmp_path / "p.json"
+    part.write_text(json.dumps({"cutpoints": [1.0]}))
+    argv = ["score", "--functional", "quantile", "--alpha", "0.5", "--input", str(inp)]
+    assert main([*argv, "--partition", str(part), "--out", str(tmp_path / "s")]) == 0
+    summary = json.loads((tmp_path / "s.summary.json").read_text())
+    assert summary["mean"] == {"total": 0.005, "components": [0.005, 0.0]}
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["1 cases, mean score 0.01", "component 0: 0.01  component 1: 0.00"]
+
+
 def test_cli_synth_output_bytes_are_pinned(tmp_path):
     assert main(["synth", "--n", "500", "--seed", "3", "--out", str(tmp_path / "r")]) == 0
     assert _digests(tmp_path / "r", ("cases.csv", "meta.json")) == {
@@ -877,6 +911,16 @@ def test_cli_extreme_cutpoints_validate_without_warnings(tmp_path, capsys):
     part.write_text(json.dumps(config))
     assert main(["validate-partition", "--partition", str(part)]) == 2
     assert "weights sum to 0 at t=1e+308 " in capsys.readouterr().out
+
+
+def test_cli_ramp_longer_than_the_largest_float_exits_2(tmp_path, capsys):
+    part = tmp_path / "part.json"
+    part.write_text(json.dumps({"weights": [
+        {"kind": "tabulated", "breakpoints": [-1e308, 1e308], "values": [1.0, 0.0]},
+        {"kind": "tabulated", "breakpoints": [-1e308, 1e308], "values": [0.0, 1.0]},
+    ]}))
+    assert main(["validate-partition", "--partition", str(part)]) == 2
+    assert "longer than the largest float" in capsys.readouterr().err
 
 
 def test_cli_error_exit_codes(tmp_path, capsys):

@@ -218,6 +218,28 @@ def test_trapezoidal_partition_sums_to_one():
         trapezoidal_partition([(0.0, 3.0), (2.0, 5.0)])  # overlap
 
 
+def test_ramps_longer_than_the_largest_float_are_refused():
+    # the length 2e308 would overflow to inf and flatten the ramp into a step
+    inf = np.inf
+    with pytest.raises(ValidationError, match="tabulated weight .* longer than the largest"):
+        TabulatedWeight([-1e308, 1e308], [0.0, 1.0])
+    with pytest.raises(ValidationError, match="tabulated weight .* longer than the largest"):
+        TabulatedWeight([-1e308, -5e307, 1.5e308], [0.0, 0.5, 1.0])
+    with pytest.raises(ValidationError, match="trapezoidal weight .* longer than the largest"):
+        TrapezoidalWeight(-1e308, 1e308, inf, inf)
+    with pytest.raises(ValidationError, match="trapezoidal weight .* longer than the largest"):
+        TrapezoidalWeight(-inf, -inf, -1e308, 1e308)
+    with pytest.raises(ValidationError, match="longer than the largest"):
+        trapezoidal_partition([(-1e308, 1e308)])
+    # a ramp of 2e307 is still a ramp
+    t = np.array([0.0])
+    assert TabulatedWeight([-1e307, 1e307], [0.0, 1.0])(t)[0] == 0.5
+    assert TrapezoidalWeight(-1e307, 1e307, inf, inf)(t)[0] == 0.5
+    p = trapezoidal_partition([(-1e307, 1e307)])
+    assert p.report.passed
+    np.testing.assert_array_equal(p.eval_matrix(t)[:, 0], [0.5, 0.5])
+
+
 def test_arctan_pair_is_valid_partition():
     p = arctan_pair(10.0)
     rep = p.report
