@@ -32,8 +32,8 @@ for label, spec, x, y in [
     c = verify_mixture(spec, x, y)
     print(f"  {label}: direct {c.direct:>5}, mixture {c.mixture:>18.15f},"
           f" residual {c.residual:.1e}")
-print("The built-in generators have polynomial densities, so the split")
-print("Simpson rule integrates them exactly and residuals are zero.")
+print("The built-in generators have polynomial densities, so Gauss-Kronrod")
+print("panels cut at the kinks integrate them exactly and residuals are zero.")
 
 print()
 print("The same identity holds for a region component: multiply the")

@@ -30,14 +30,13 @@ It is exactly 0.0 where no case is active and never negative.  Time is
 O((n + T) log n) and memory O(n + T) for n cases and T thresholds.
 
 ``verify_mixture`` checks the mixture representation for one forecast
-case by integrating elementary score times mixing density with a
-composite Simpson rule split at the integrand's kinks, and comparing
-against the directly evaluated score.
+case by integrating elementary score times mixing density with the
+package's adaptive Gauss–Kronrod routine, cut at the integrand's kinks,
+and comparing against the directly evaluated score.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +46,7 @@ from .errors import ValidationError
 from .exact import as_int, slices
 from .io import _write_table, fmt12, write_json
 from .partition import WeightFunction
+from .quadrature import gauss_kronrod
 from .scoring import ScoringSpec, check_parameters, score
 
 __all__ = [
@@ -304,14 +304,29 @@ def murphy_area(curve_or_thresholds, means=None, density=None) -> float | np.nda
     arrays.  ``density`` defaults to the Lebesgue mixing density 1
     (the quantile case with g(t) = t); pass phi'' for expectile or
     Huber generators.  The grid must cover the integrand's support for
-    the area to approximate the mean score.
+    the area to approximate the mean score.  Explicit thresholds must be
+    finite and strictly ascending, and the last axis of ``means`` must
+    match them.
     """
     if isinstance(curve_or_thresholds, MurphyCurve):
         curve = curve_or_thresholds
         thresholds, values = curve.thresholds, curve.means
     else:
+        if means is None:
+            raise ValidationError("murphy_area needs means with explicit thresholds")
         thresholds = np.asarray(curve_or_thresholds, dtype=float)
         values = np.asarray(means, dtype=float)
+        if not (
+            thresholds.ndim == 1
+            and np.all(np.isfinite(thresholds))
+            and np.all(np.diff(thresholds) > 0)
+        ):
+            raise ValidationError("thresholds must be finite and strictly ascending")
+        if values.ndim == 0 or values.shape[-1] != thresholds.size:
+            raise ValidationError(
+                f"means have shape {values.shape}, need a last axis of "
+                f"{thresholds.size} thresholds"
+            )
     if density is None:
         dens = np.ones_like(thresholds)
     else:
@@ -360,20 +375,6 @@ class MixtureCheck:
         return abs(self.direct - self.mixture)
 
 
-def _simpson(f, lo: float, hi: float, panels: int) -> float:
-    # composite Simpson rule; panels must be even.  Endpoint samples are
-    # nudged inside the interval so that weight jumps sitting exactly on
-    # a split point are read from the correct side.
-    t = np.linspace(lo, hi, panels + 1)
-    shrink = (hi - lo) * 1e-12
-    t[0] += shrink
-    t[-1] -= shrink
-    v = f(t)
-    return (hi - lo) / (3.0 * panels) * (
-        v[0] + v[-1] + 4.0 * v[1:-1:2].sum() + 2.0 * v[2:-1:2].sum()
-    )
-
-
 def verify_mixture(
     spec: ScoringSpec,
     x: float,
@@ -383,12 +384,13 @@ def verify_mixture(
 ) -> MixtureCheck:
     """Compare a score against its elementary mixture integral.
 
-    The integrand is elementary score times mixing density (times the
-    region weight when one is given); it lives on [min(x, y), max(x, y)]
+    The integrand is ``elementary_score`` times mixing density (times the
+    region weight when one is given).  It lives on [min(x, y), max(x, y)]
     and is smooth except at the Huber kinks y +- nu and the weight's
-    breakpoints, so the integration range is split there and each piece
-    gets a composite Simpson rule of at least 64 panels, with step at
-    most 0.02.
+    knots, so ``gauss_kronrod`` integrates it on panels cut there.  Its
+    nodes lie strictly inside each panel, so the half-open convention at
+    x, y and the kinks is never sampled.  The check evaluates elementary
+    scores pointwise and shares no moment formula with ``score``.
     """
     x, y = float(x), float(y)
     if not (np.isfinite(x) and np.isfinite(y)):
@@ -397,47 +399,14 @@ def verify_mixture(
         direct = float(score(spec, x, y))
     else:
         direct = float(region_generator(spec, weight).score(x, y))
-    if x == y:
-        return MixtureCheck(direct=direct, mixture=0.0)
-
-    density = spec.generator.density
-
-    # Between min(x, y) and max(x, y) the elementary score equals one
-    # smooth closed form (its interior limit), so the integrand is only
-    # evaluated through that form; the half-open boundary convention is
-    # Lebesgue-null and would otherwise poison the endpoint samples.
-    nu = spec.nu
-    if spec.functional == "huber_mean":
-        rate = None
-    else:
-        rate = (1.0 - spec.alpha) if y < x else spec.alpha
 
     def integrand(theta):
-        if spec.functional == "quantile":
-            base = np.full_like(theta, rate)
-        elif spec.functional == "expectile":
-            base = rate * np.abs(y - theta)
-        else:
-            base = 0.5 * np.minimum(np.abs(y - theta), nu)
-        base = base * density(theta)
-        if weight is not None:
-            base = base * weight(theta)
-        return base
+        v = elementary_score(spec.functional, theta, x, y, alpha=spec.alpha, nu=spec.nu)
+        v = v * spec.generator.density(theta)
+        return v if weight is None else v * weight(theta)
 
-    lo, hi = (x, y) if x < y else (y, x)
-    cuts = {lo, hi}
-    if spec.functional == "huber_mean":
-        for kink in (y - spec.nu, y + spec.nu):
-            if lo < kink < hi:
-                cuts.add(kink)
+    knots = [] if spec.nu is None else [y - spec.nu, y + spec.nu]
     if weight is not None:
-        for knot in weight.finite_knots():
-            if lo < knot < hi:
-                cuts.add(float(knot))
-    edges = sorted(cuts)
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        panels = max(64, math.ceil((b - a) / 0.02))
-        panels += panels % 2
-        total += _simpson(integrand, a, b, panels)
-    return MixtureCheck(direct=direct, mixture=total)
+        knots += weight.finite_knots()
+    mixture = gauss_kronrod(integrand, min(x, y), max(x, y), 0.0, 0, knots)
+    return MixtureCheck(direct=direct, mixture=float(mixture))

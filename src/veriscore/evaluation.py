@@ -187,19 +187,21 @@ class ComparisonReport:
         }
 
     def summary_lines(self) -> list[str]:
+        """Lines for stdout, printing the rounded numbers of ``to_dict``."""
+        d = self.to_dict()
+        diff, ci = d["difference"], d["ci"]
         lines = [
-            f"n={self.n} paired cases, score {self.spec.describe()}",
-            f"mean {self.label_a}: {self.mean_a:.2f}   "
-            f"mean {self.label_b}: {self.mean_b:.2f}   "
-            f"diff: {self.mean_diff:.2f}",
+            f"n={d['n']} paired cases, score {d['score']}",
+            f"mean {self.label_a}: {d['means'][self.label_a]['total']:.2f}   "
+            f"mean {self.label_b}: {d['means'][self.label_b]['total']:.2f}   "
+            f"diff: {diff['total']:.2f}",
             f"{int(self.ci_level * 100)}% CI ({self.ci_method}) for diff: "
-            f"[{self.ci_total[0]:.2f}, {self.ci_total[1]:.2f}]",
+            f"[{ci['total'][0]:.2f}, {ci['total'][1]:.2f}]",
         ]
-        if self.mean_diff_components is not None:
-            for j, d in enumerate(self.mean_diff_components):
-                lo, hi = self.ci_components[j]
+        if diff["components"] is not None:
+            for j, (dj, (lo, hi)) in enumerate(zip(diff["components"], ci["components"])):
                 lines.append(
-                    f"  component {j}: diff {d:.2f}  CI [{lo:.2f}, {hi:.2f}]"
+                    f"  component {j}: diff {dj:.2f}  CI [{lo:.2f}, {hi:.2f}]"
                 )
         return lines
 
@@ -487,16 +489,19 @@ class HedgingReport:
         }
 
     def summary_lines(self) -> list[str]:
+        """Lines for stdout, printing the rounded numbers of ``to_dict``."""
+        d = self.to_dict()
+        honest = d["honest"]
         lines = [
-            f"option {self.option}: {self.note}",
-            f"events: {self.n_events}, threshold: {self.threshold:.2f}",
-            f"honest mean score: {self.honest.mean_score:.2f} "
-            f"over {self.honest.n_assessed} assessed",
+            f"option {d['option']}: {d['note']}",
+            f"events: {d['n_events']}, threshold: {d['threshold']:.2f}",
+            f"honest mean score: {honest['mean_score']:.2f} "
+            f"over {honest['n_assessed']} assessed",
         ]
-        for s in self.strategies:
+        for s in d["strategies"]:
             lines.append(
-                f"  {s.name}: mean {s.mean_score:.2f} over {s.n_assessed} "
-                f"assessed, gain {s.gain:.2f} (se {s.gain_se:.2f})"
+                f"  {s['name']}: mean {s['mean_score']:.2f} over {s['n_assessed']} "
+                f"assessed, gain {s['gain']:.2f} (se {s['gain_se']:.2f})"
             )
         return lines
 

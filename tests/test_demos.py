@@ -18,7 +18,8 @@ def test_demos_are_found():
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, str(demo)], capture_output=True, text=True, env=env, cwd=tmp_path
-    )
+    # the warning rule tier-1 runs under (pyproject.toml)
+    argv = [sys.executable, "-W", "error::RuntimeWarning", str(demo)]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""

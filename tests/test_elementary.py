@@ -8,6 +8,9 @@ import numpy as np
 import pytest
 
 from veriscore import (
+    ArctanLowerWeight,
+    ArctanUpperWeight,
+    NormalizedWeight,
     RectangularWeight,
     TrapezoidalWeight,
     ValidationError,
@@ -252,6 +255,15 @@ def test_murphy_area_recovers_mean_score():
     assert area_q == pytest.approx(mean_q, rel=5e-3)
 
 
+def test_murphy_area_rejects_bad_explicit_inputs():
+    with pytest.raises(ValidationError, match="needs means"):
+        murphy_area([0.0, 1.0, 2.0])
+    with pytest.raises(ValidationError, match="strictly ascending"):
+        murphy_area([2.0, 1.0, 0.0], [1.0, 1.0, 1.0])
+    with pytest.raises(ValidationError, match="last axis"):
+        murphy_area([0.0, 1.0, 2.0], [1.0, 1.0])
+
+
 def test_murphy_writers(tmp_path):
     x = np.array([1.0, 2.0])
     y = np.array([0.5, 3.0])
@@ -284,7 +296,7 @@ def test_murphy_writers(tmp_path):
 
 
 def test_verify_mixture_exact_for_polynomial_families():
-    # Simpson is exact on polynomial integrands, so residuals vanish
+    # Gauss-Kronrod is exact on polynomial pieces, so residuals vanish
     checks = [
         (quantile_score(0.25), 2.0, 5.0),
         (expectile_score(0.5), 12.0, 8.0),
@@ -317,14 +329,31 @@ def test_verify_mixture_random_loop():
 
 
 def test_verify_mixture_weighted_component():
-    w = TrapezoidalWeight(-1.0, 0.0, 2.0, 4.0)
+    weights = (
+        TrapezoidalWeight(-1.0, 0.0, 2.0, 4.0),
+        ArctanUpperWeight(10.0),
+        NormalizedWeight(1, (ArctanLowerWeight(-1.0), ArctanUpperWeight(2.0))),
+    )
     rng = np.random.default_rng(6)
     for _ in range(20):
         x = float(rng.uniform(-5, 7))
         y = float(rng.uniform(-5, 7))
         for spec in (quantile_score(0.4), expectile_score(0.6), huber_loss(1.2)):
-            c = verify_mixture(spec, x, y, weight=w)
-            assert c.residual <= 1e-6 * max(1.0, abs(c.direct))
+            for w in weights:
+                c = verify_mixture(spec, x, y, weight=w)
+                assert c.residual <= 1e-6 * max(1.0, abs(c.direct))
+
+
+def test_verify_mixture_at_a_width_of_1e12():
+    # the integral is cut at the kinks and knots only, so its cost and
+    # memory do not grow with |x - y|
+    w = TrapezoidalWeight(-1.0, 0.0, 2.0, 4.0)
+    for spec in (squared_error(), huber_loss(1.5), quantile_score(0.3)):
+        for x, y in ((1e12, 0.0), (-3.0, 1e12 - 3.0)):
+            for weight in (None, w):
+                c = verify_mixture(spec, x, y, weight=weight)
+                assert type(c.mixture) is float
+                assert c.residual <= 1e-12 * max(1.0, abs(c.direct))
 
 
 def test_verify_mixture_validates_inputs():

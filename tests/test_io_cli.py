@@ -635,6 +635,22 @@ def test_cli_prints_the_means_of_the_summary(tmp_path, capsys):
     assert lines[:2] == ["1 cases, mean score 0.01", "component 0: 0.01  component 1: 0.00"]
 
 
+
+def test_cli_compare_prints_the_means_of_the_report(tmp_path, capsys):
+    # mean A and the difference 0.004999999999999 are written as 0.005
+    paired = tmp_path / "paired.csv"
+    paired.write_text(
+        "case_id,forecast_a,forecast_b,obs\n"
+        "c1,0.009999999999998,0,0\nc2,0.009999999999998,0,0\n"
+    )
+    argv = ["compare", "--functional", "quantile", "--alpha", "0.5", "--input", str(paired)]
+    assert main([*argv, "--out", str(tmp_path / "c")]) == 0
+    report = json.loads((tmp_path / "c.report.json").read_text())
+    assert report["means"]["A"]["total"] == report["difference"]["total"] == 0.005
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "mean A: 0.01   mean B: 0.00   diff: 0.01"
+    assert lines[2] == "95% CI (normal) for diff: [0.01, 0.01]"
+
 def test_cli_synth_output_bytes_are_pinned(tmp_path):
     assert main(["synth", "--n", "500", "--seed", "3", "--out", str(tmp_path / "r")]) == 0
     assert _digests(tmp_path / "r", ("cases.csv", "meta.json")) == {
