@@ -8,7 +8,6 @@ import numpy as np
 from veriscore import (
     EmpiricalCDF,
     crps,
-    crps_decomposed,
     rectangular_partition,
     trapezoidal_partition,
 )
@@ -16,9 +15,9 @@ from veriscore import (
 print("CRPS integrates (F(z) - [y <= z])^2; for step CDFs the integral")
 print("is an exact finite sum.")
 cdf = EmpiricalCDF.from_ensemble([0.0, 2.0])
-print(f"  two members at 0 and 2, observation 1: CRPS = {crps(cdf, 1.0)}")
+print(f"  two members at 0 and 2, observation 1: CRPS = {crps(cdf, 1.0)[0]}")
 point = EmpiricalCDF.from_ensemble([3.0])
-print(f"  a point forecast reduces to absolute error: {crps(point, 7.5)}")
+print(f"  a point forecast reduces to absolute error: {crps(point, 7.5)[0]}")
 
 print()
 print("Splitting over thresholds shows where the probability mass misses.")
@@ -27,20 +26,18 @@ members = np.sort(rng.normal(15.0, 4.0, 12))
 obs = 23.0
 cdf = EmpiricalCDF.from_ensemble(members)
 split = rectangular_partition([20.0])
-d = crps_decomposed(cdf, obs, split)
+total, (below, above) = crps(cdf, obs, split)
 print(f"  12-member ensemble around 15, observation {obs}")
-print(f"  total {d.total:.4f} = below-20 {d.per_component[0]:.4f}"
-      f" + above-20 {d.per_component[1]:.4f}")
+print(f"  total {total:.4f} = below-20 {below:.4f} + above-20 {above:.4f}")
 print("  most of the penalty sits above 20: the ensemble put almost no")
 print("  mass where the observation landed.")
 
 print()
 print("A trapezoidal partition fades the emphasis in instead of cutting.")
 fade = trapezoidal_partition([(18.0, 22.0)])
-d2 = crps_decomposed(cdf, obs, fade)
-print(f"  total {d2.total:.4f} = low-side {d2.per_component[0]:.4f}"
-      f" + high-side {d2.per_component[1]:.4f}")
-print(f"  components always re-add: gap {abs(d2.component_sum - d2.total):.2e}")
+total, comps = crps(cdf, obs, fade)
+print(f"  total {total:.4f} = low-side {comps[0]:.4f} + high-side {comps[1]:.4f}")
+print(f"  components always re-add: gap {abs(comps.sum() - total):.2e}")
 
 print()
 print("Averaging the upper component across cases gives a verification")
@@ -51,7 +48,7 @@ sharp = [EmpiricalCDF.from_ensemble(rng.normal(o, 1.0, 20)) for o in obs_draws]
 vague = [EmpiricalCDF.from_ensemble(rng.normal(o, 6.0, 20)) for o in obs_draws]
 for name, cdfs in [("sharp", sharp), ("vague", vague)]:
     comp = np.mean([
-        crps_decomposed(c, o, split).per_component[1]
+        crps(c, o, split)[1][1]
         for c, o in zip(cdfs, obs_draws)
     ])
     print(f"  mean above-20 component, {name} ensembles: {comp:.4f}")

@@ -43,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from .elementary import murphy_curve, write_murphy_csv, write_murphy_meta
-from .ensemble import crps, crps_decomposed, read_ensemble_csv
+from .ensemble import crps, read_ensemble_csv
 from .errors import NumericError, ValidationError
 from .evaluation import (
     STREAMS,
@@ -256,14 +256,9 @@ def _cmd_crps(args) -> int:
     partition = _load_partition(args)
     ensembles = read_ensemble_csv(_require(args, "input"))
     out = _require(args, "out")
-    y = ensembles.observations
     # an overflow shows as a score that require_finite names, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        if partition is None:
-            totals, comps = crps(ensembles, y), None
-        else:
-            scores = crps_decomposed(ensembles, y, partition)
-            totals, comps = scores.total, scores.per_component
+        totals, comps = crps(ensembles, ensembles.observations, partition)
     require_finite(ensembles.ids, totals, comps)
     return _write_scores(out, ensembles.ids, {"kind": "crps"}, partition, totals, comps)
 

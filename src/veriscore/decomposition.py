@@ -17,6 +17,10 @@ consistent scoring function for the same functional, is nonnegative,
 and vanishes identically on any interval its weight does not touch.
 Strictly positive weights (the arctan pair) keep strict consistency.
 
+``decompose`` gives one ``RegionGenerator`` per weight of a partition
+and ``score_components`` stacks their scores; the total they sum to is
+:func:`veriscore.scoring.score`.
+
 Moments
 -------
 Every component is a mixture of elementary scores, so it is the
@@ -51,43 +55,19 @@ raises :class:`NumericError` naming the failing element.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
 from .partition import PartitionOfUnity, WeightFunction
 from .quadrature import gauss_kronrod
-from .scoring import ScoringSpec, moment_score, score
+from .scoring import ScoringSpec, moment_score
 
-__all__ = [
-    "RegionGenerator",
-    "DecomposedScore",
-    "region_generator",
-    "decompose",
-    "score_components",
-    "score_decomposed",
-]
+__all__ = ["RegionGenerator", "decompose", "score_components"]
 
 def _scalar_or_array(out):
     out = np.asarray(out)
     return float(out) if out.ndim == 0 else out
-
-
-@dataclass(frozen=True)
-class DecomposedScore:
-    """Per-region components plus the directly evaluated total.
-
-    ``total`` is score(spec, x, y) itself; the components sum back to it
-    within floating-point rounding.
-    """
-
-    per_component: np.ndarray
-    total: float | np.ndarray
-
-    @property
-    def component_sum(self):
-        return self.per_component.sum(axis=0)
 
 
 def _default_anchor(weight: WeightFunction) -> float:
@@ -171,38 +151,11 @@ class RegionGenerator:
         return _scalar_or_array(out)
 
 
-def region_generator(
-    spec: ScoringSpec,
-    weight: WeightFunction,
-    *,
-    anchor: float | None = None,
-) -> RegionGenerator:
-    """Build the component generator for a single weight."""
-    return RegionGenerator(spec, weight, anchor=anchor)
-
-
 def decompose(
-    spec: ScoringSpec,
-    partition: PartitionOfUnity,
-    *,
-    anchors=None,
+    spec: ScoringSpec, partition: PartitionOfUnity
 ) -> tuple[RegionGenerator, ...]:
-    """Component generators for every weight of a partition.
-
-    ``anchors`` optionally overrides the per-weight anchor points; score
-    components do not depend on them (only the anchored pointwise values
-    do).
-    """
-    if anchors is None:
-        anchors = [None] * len(partition)
-    anchors = list(anchors)
-    if len(anchors) != len(partition):
-        raise ValidationError(
-            f"got {len(anchors)} anchors for {len(partition)} weights"
-        )
-    return tuple(
-        RegionGenerator(spec, w, anchor=a) for w, a in zip(partition, anchors)
-    )
+    """Component generators for every weight of a partition."""
+    return tuple(RegionGenerator(spec, w) for w in partition)
 
 
 def score_components(regions, x, y) -> np.ndarray:
@@ -211,11 +164,3 @@ def score_components(regions, x, y) -> np.ndarray:
     if not regions:
         raise ValidationError("need at least one region generator")
     return np.stack([np.asarray(r.score(x, y)) for r in regions])
-
-
-def score_decomposed(regions, x, y) -> DecomposedScore:
-    """Components together with the directly evaluated total score."""
-    regions = tuple(regions)
-    parts = score_components(regions, x, y)
-    total = score(regions[0].spec, x, y)
-    return DecomposedScore(per_component=parts, total=total)

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import region_generator
+from .decomposition import RegionGenerator
 from .errors import ValidationError
 from .exact import as_int, slices
 from .io import _write_table, fmt12, write_json
@@ -346,8 +346,8 @@ def write_murphy_csv(curve: MurphyCurve, path) -> None:
     )
 
 
-def write_murphy_meta(curve: MurphyCurve, path, weight=None) -> None:
-    """JSON sidecar describing how the curve was computed."""
+def write_murphy_meta(curve: MurphyCurve, path) -> None:
+    """JSON sidecar describing how the curve was computed (unweighted)."""
     meta = {
         "functional": curve.functional,
         "alpha": curve.alpha,
@@ -358,7 +358,7 @@ def write_murphy_meta(curve: MurphyCurve, path, weight=None) -> None:
             "n": int(curve.thresholds.size),
         },
         "systems": list(curve.names),
-        "weight": weight.config() if weight is not None else None,
+        "weight": None,
     }
     write_json(meta, path)
 
@@ -398,7 +398,7 @@ def verify_mixture(
     if weight is None:
         direct = float(score(spec, x, y))
     else:
-        direct = float(region_generator(spec, weight).score(x, y))
+        direct = float(RegionGenerator(spec, weight).score(x, y))
 
     def integrand(theta):
         v = elementary_score(spec.functional, theta, x, y, alpha=spec.alpha, nu=spec.nu)

@@ -14,10 +14,11 @@ are ``WeightFunction.integral``: exact for the piecewise-linear and
 arctan weight kinds, and for normalized weights one vectorized
 Gauss–Kronrod pass over all segments (``veriscore.quadrature``).
 
-``crps``, ``crps_components`` and ``crps_decomposed`` score one
-``EmpiricalCDF`` or an ``EnsembleSet`` (n cases of m equally weighted
-members, as ``read_ensemble_csv`` returns) with one batched kernel; a
-single CDF is one row of it.  Each row's points are sorted together
+``crps`` scores one ``EmpiricalCDF`` or an ``EnsembleSet`` (n cases of
+m equally weighted members, as ``read_ensemble_csv`` returns) with one
+batched kernel, a single CDF being one row of it, and returns the
+totals with their components under a partition, as ``case_scores``
+does for point forecasts.  Each row's points are sorted together
 with its observation once.  On a segment of nonzero width at position
 i, i + 1 - [y <= left] points lie at or below its left edge, which
 indexes the CDF level.  The total and each component are one dot
@@ -36,19 +37,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .decomposition import DecomposedScore
 from .errors import NumericError, ValidationError
 from .io import _check_cases, _checked, _read_table
 from .partition import PartitionOfUnity
 
-__all__ = [
-    "EmpiricalCDF",
-    "EnsembleSet",
-    "crps",
-    "crps_components",
-    "crps_decomposed",
-    "read_ensemble_csv",
-]
+__all__ = ["EmpiricalCDF", "EnsembleSet", "crps", "read_ensemble_csv"]
 
 CRPS_BLOCK_BYTES = 1 << 18  # edges in one block of rows: about 640 rows of 51
 
@@ -114,10 +107,8 @@ class EnsembleSet:
     """Ensemble forecasts of n cases: ``ids``, ``observations`` (n,)
     and ``members`` (n, m).
 
-    Each row is the empirical CDF of its members, mass 1/m on each.
-    Indexing and iteration yield ``(case_id, obs, EmpiricalCDF)``, the
-    CDF built only when asked for; ``crps`` and ``crps_components``
-    score the whole set in one batched pass.
+    Each row is the empirical CDF of its members, mass 1/m on each;
+    ``crps`` scores the whole set in one batched pass.
     """
 
     def __init__(self, ids, observations, members):
@@ -137,14 +128,6 @@ class EnsembleSet:
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def __getitem__(self, i):
-        cdf = EmpiricalCDF.from_ensemble(self.members[i])
-        return self.ids[i], float(self.observations[i]), cdf
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
 
 
 def _kernel_args(cdf, y):
@@ -221,39 +204,26 @@ def _step_crps(points, y, levels, weights=(), ids=None) -> np.ndarray:
     return out
 
 
-def _crps_pass(cdf, y, partition=None) -> DecomposedScore:
-    """The total and, under a partition, its components: one kernel pass."""
+def crps(cdf, y, partition: PartitionOfUnity | None = None):
+    """Exact CRPS of step CDFs at finite observations: (totals, components).
+
+    One ``EmpiricalCDF`` and a scalar y give a float and, under a
+    partition, a (k,) array of components; an ``EnsembleSet`` and its
+    (n,) observations give (n,) and (k, n), as ``case_scores`` returns.
+    ``components`` is None without a partition.  The total and the
+    components come from one kernel pass, and errors of a set name the
+    case id.
+    """
     points, y, levels, ids = _kernel_args(cdf, y)
     weights = () if partition is None else tuple(partition)
     if weights:
         _require_domain(partition.domain, points, y, ids)
     rows = _step_crps(points, y, levels, weights, ids)
-    if isinstance(cdf, EnsembleSet):
-        return DecomposedScore(per_component=rows[1:], total=rows[0])
-    return DecomposedScore(per_component=rows[1:, 0], total=float(rows[0, 0]))
-
-
-def crps(cdf, y):
-    """Exact CRPS of a step CDF at a finite observation.
-
-    One ``EmpiricalCDF`` and a scalar y give a float; an ``EnsembleSet``
-    and its (n,) observations give (n,) scores.
-    """
-    return _crps_pass(cdf, y).total
-
-
-def crps_components(cdf, y, partition: PartitionOfUnity) -> np.ndarray:
-    """Per-region CRPS components under a partition of unity.
-
-    (k,) for one ``EmpiricalCDF``, (k, n) for an ``EnsembleSet``, as
-    ``score_components`` returns.  Errors of a set name the case id.
-    """
-    return _crps_pass(cdf, y, partition).per_component
-
-
-def crps_decomposed(cdf, y, partition: PartitionOfUnity) -> DecomposedScore:
-    """Components plus the directly integrated total, from one kernel pass."""
-    return _crps_pass(cdf, y, partition)
+    if ids is None:  # a single CDF is one column
+        totals, comps = float(rows[0, 0]), rows[1:, 0]
+    else:
+        totals, comps = rows[0], rows[1:]
+    return totals, comps if weights else None
 
 
 def read_ensemble_csv(path) -> EnsembleSet:

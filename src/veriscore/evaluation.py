@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import decompose, region_generator, score_components
+from .decomposition import RegionGenerator, decompose, score_components
 from .errors import NumericError, ValidationError
 from .exact import as_int, slices
 from .io import CaseSet, round12
@@ -65,6 +65,13 @@ STREAMS = {
 }
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int: an int or a numpy integer, never a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def stream_rng(seed: int, group: str, name: str) -> np.random.Generator:
     """Independent generator for one named substream of a seed."""
     try:
@@ -73,7 +80,8 @@ def stream_rng(seed: int, group: str, name: str) -> np.random.Generator:
         raise ValidationError(
             f"unknown stream {group!r}/{name!r}; see STREAMS"
         ) from None
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    seed = _integer("seed", seed)
+    if seed < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
 
@@ -239,11 +247,11 @@ def _align(cases_a: CaseSet, cases_b: CaseSet) -> CaseSet:
 BOOTSTRAP_CHUNK_BYTES = 32 << 20  # memory for one chunk of resample counts
 
 
-def _normal_ci(rows: np.ndarray, means: np.ndarray, level_z: float = 1.96):
+def _normal_ci(rows: np.ndarray, means: np.ndarray):
     n = rows.shape[1]
     if n < 2:
         raise ValidationError("confidence intervals need at least 2 cases")
-    half = level_z * rows.std(axis=1, ddof=1) / math.sqrt(n)
+    half = 1.96 * rows.std(axis=1, ddof=1) / math.sqrt(n)
     return np.column_stack([means - half, means + half])
 
 
@@ -298,11 +306,21 @@ def compare(
     z = 1.96, "bootstrap" the percentile interval over case resamples
     drawn from the named bootstrap stream of ``seed``.
     """
-    label_a, label_b = str(labels[0]), str(labels[1])
-    if not label_a or not label_b or label_a == label_b:
-        raise ValidationError(f"labels must be distinct and non-empty, got {labels}")
+    pair = labels if isinstance(labels, (tuple, list)) else ()
+    strings = len(pair) == 2 and all(isinstance(s, str) and s for s in pair)
+    if not strings or pair[0] == pair[1]:
+        raise ValidationError(f"labels must be two distinct non-empty strings, got {labels!r}")
+    label_a, label_b = pair
     if ci not in ("normal", "bootstrap"):
         raise ValidationError(f"ci must be 'normal' or 'bootstrap', got {ci!r}")
+    bootstrap_samples = _integer("bootstrap_samples", bootstrap_samples)
+    seed = _integer("seed", seed)
+    if ci == "bootstrap":
+        if not 1 <= bootstrap_samples <= 10**6:
+            raise ValidationError(
+                f"bootstrap_samples must be in [1, 1e6], got {bootstrap_samples}"
+            )
+        rng = stream_rng(seed, "comparison", "bootstrap")
     aligned_b = _align(cases_a, cases_b)
     totals_a, comps_a = case_scores(spec, cases_a, partition)
     totals_b, comps_b = case_scores(spec, aligned_b, partition)
@@ -314,13 +332,7 @@ def compare(
         bounds = _normal_ci(rows, means)
         samples_used = None
     else:
-        if not 1 <= bootstrap_samples <= 10**6:
-            raise ValidationError(
-                f"bootstrap_samples must be in [1, 1e6], got {bootstrap_samples}"
-            )
-        bounds = _bootstrap_ci(
-            rows, bootstrap_samples, stream_rng(seed, "comparison", "bootstrap")
-        )
+        bounds = _bootstrap_ci(rows, bootstrap_samples, rng)
         samples_used = bootstrap_samples
     return ComparisonReport(
         label_a=label_a,
@@ -362,8 +374,12 @@ class SyntheticConfig:
     err_a_base: float = 2.0
 
     def __post_init__(self):
+        for name in ("n", "seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.n < 1:
             raise ValidationError(f"n must be positive, got {self.n}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be a non-negative integer, got {self.seed}")
         for name in ("clim_sd", "err_b_sd"):
             v = getattr(self, name)
             if not (np.isfinite(v) and v > 0):
@@ -512,7 +528,7 @@ def _squared(f, y, t):
 
 def _upper_squared(f, y, t):
     # the upper-region component of squared error split at the threshold
-    upper = region_generator(squared_error(), RectangularWeight(t, np.inf))
+    upper = RegionGenerator(squared_error(), RectangularWeight(t, np.inf))
     return np.asarray(upper.score(f, y))
 
 
@@ -600,6 +616,7 @@ def simulate_hedging(
     option; standard errors are paired when the assessed set cannot
     change (options 1, 4, 5) and conservative otherwise.
     """
+    option, n, seed = _integer("option", option), _integer("n", n), _integer("seed", seed)
     if option not in _HEDGING_RULES:
         raise ValidationError(f"option must be 1..5, got {option}")
     if n < 2:

@@ -1,5 +1,8 @@
 """Forecast case containers, file formats, and deterministic output.
 
+A ``CaseSet`` holds one forecast system's cases as aligned arrays:
+``ids``, ``forecasts`` and ``observations``.
+
 Every file the package reads or writes goes through this module.  All
 numeric output has 12 significant digits (``fmt12``).  One table writer
 serves ``write_scores_csv``, the case writers and the Murphy curve: it
@@ -53,7 +56,6 @@ import json
 import re
 from array import array
 from contextlib import suppress
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain
 
@@ -64,7 +66,6 @@ from .errors import ValidationError
 __all__ = [
     "fmt12",
     "round12",
-    "ForecastCase",
     "CaseSet",
     "read_cases_csv",
     "write_cases_csv",
@@ -105,15 +106,6 @@ def _checked(cls, **fields):
     return obj
 
 
-@dataclass(frozen=True)
-class ForecastCase:
-    """One point forecast and the matching observation."""
-
-    case_id: str
-    forecast: float
-    observation: float
-
-
 class CaseSet:
     """Aligned arrays of forecast cases for one forecast system."""
 
@@ -132,28 +124,8 @@ class CaseSet:
         self.forecasts = x
         self.observations = y
 
-    @classmethod
-    def from_cases(cls, cases) -> "CaseSet":
-        cases = list(cases)
-        return cls(
-            [c.case_id for c in cases],
-            [c.forecast for c in cases],
-            [c.observation for c in cases],
-        )
-
     def __len__(self) -> int:
         return len(self.ids)
-
-    def __iter__(self):
-        for i, cid in enumerate(self.ids):
-            yield ForecastCase(cid, float(self.forecasts[i]), float(self.observations[i]))
-
-    def case(self, case_id: str) -> ForecastCase:
-        try:
-            i = self.ids.index(case_id)
-        except ValueError:
-            raise ValidationError(f"no case with id {case_id!r}") from None
-        return ForecastCase(case_id, float(self.forecasts[i]), float(self.observations[i]))
 
 
 # bytes that numpy's number parser skips as white space and ``float`` refuses

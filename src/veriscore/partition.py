@@ -132,10 +132,6 @@ class IntervalDomain:
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
-    @property
-    def bounded(self) -> bool:
-        return math.isfinite(self.lower) and math.isfinite(self.upper)
-
     def contains(self, t):
         """Vectorized membership test, lower closed, upper open."""
         t = np.asarray(t, dtype=float)

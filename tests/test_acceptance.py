@@ -25,6 +25,7 @@ from veriscore import (
     EmpiricalCDF,
     GeneratorSpec,
     RectangularWeight,
+    RegionGenerator,
     ScoringSpec,
     SyntheticConfig,
     TabulatedWeight,
@@ -32,7 +33,6 @@ from veriscore import (
     arctan_pair,
     compare,
     crps,
-    crps_components,
     decompose,
     expectile_score,
     functional_value,
@@ -42,7 +42,6 @@ from veriscore import (
     murphy_curve,
     quantile_score,
     rectangular_partition,
-    region_generator,
     score,
     score_components,
     simulate_hedging,
@@ -112,8 +111,8 @@ def test_criterion_1_decomposition_identity():
 
 def test_criterion_2_squared_error_split_goldens():
     def body():
-        upper = region_generator(squared_error(), RectangularWeight(10.0, np.inf))
-        lower = region_generator(squared_error(), RectangularWeight(-np.inf, 10.0))
+        upper = RegionGenerator(squared_error(), RectangularWeight(10.0, np.inf))
+        lower = RegionGenerator(squared_error(), RectangularWeight(-np.inf, 10.0))
         assert upper.score(12.0, 8.0) == 12.0
         assert upper.score(5.0, 7.0) == 0.0
         assert upper.score(15.0, 20.0) == 25.0
@@ -149,8 +148,8 @@ def test_criterion_3_closed_forms_match_quadrature():
         worst = 0.0
         for w in weights:
             for closed_spec, quad_spec in pairs:
-                r_closed = region_generator(closed_spec, w)
-                r_quad = region_generator(quad_spec, w)
+                r_closed = RegionGenerator(closed_spec, w)
+                r_quad = RegionGenerator(quad_spec, w)
                 assert r_closed.has_closed_form
                 assert not r_quad.has_closed_form
                 x = rng.uniform(-6.0, 7.0, 1000)
@@ -253,15 +252,14 @@ def test_criterion_6_crps_checks():
         for _ in range(200):
             x = float(rng.uniform(-50.0, 50.0))
             y = float(rng.uniform(-50.0, 50.0))
-            assert crps(EmpiricalCDF.from_ensemble([x]), y) == abs(x - y)
-        assert crps(EmpiricalCDF.from_ensemble([0.0, 2.0]), 1.0) == 0.5
+            assert crps(EmpiricalCDF.from_ensemble([x]), y)[0] == abs(x - y)
+        assert crps(EmpiricalCDF.from_ensemble([0.0, 2.0]), 1.0)[0] == 0.5
         for _ in range(1000):
             m = rng.uniform(-30.0, 30.0, int(rng.integers(1, 21)))
             y = float(rng.uniform(-35.0, 35.0))
             cdf = EmpiricalCDF.from_ensemble(m)
             partition = _random_partition(rng)
-            total = crps(cdf, y)
-            comp = crps_components(cdf, y, partition)
+            total, comp = crps(cdf, y, partition)
             assert abs(comp.sum() - total) <= 1e-9 * max(1.0, total), (
                 f"components sum to {comp.sum()} but total is {total}"
             )

@@ -17,8 +17,6 @@ from veriscore import (
     ValidationError,
     arctan_pair,
     crps,
-    crps_components,
-    crps_decomposed,
     read_ensemble_csv,
     rectangular_partition,
     trapezoidal_partition,
@@ -28,7 +26,7 @@ from veriscore import (
 def test_two_point_hand_value():
     cdf = EmpiricalCDF.from_ensemble([0.0, 2.0])
     # (0.5)^2 on [0, 1) and (0.5 - 1)^2 on [1, 2)
-    assert crps(cdf, 1.0) == 0.5
+    assert crps(cdf, 1.0) == (0.5, None)
 
 
 def test_degenerate_forecast_is_absolute_error():
@@ -36,7 +34,7 @@ def test_degenerate_forecast_is_absolute_error():
     for _ in range(200):
         x = float(rng.uniform(-50, 50))
         y = float(rng.uniform(-50, 50))
-        assert crps(EmpiricalCDF.from_ensemble([x]), y) == abs(x - y)
+        assert crps(EmpiricalCDF.from_ensemble([x]), y)[0] == abs(x - y)
 
 
 def test_matches_energy_form_on_random_ensembles():
@@ -45,7 +43,7 @@ def test_matches_energy_form_on_random_ensembles():
     for _ in range(100):
         m = rng.uniform(-30, 30, int(rng.integers(1, 21)))
         y = float(rng.uniform(-35, 35))
-        direct = crps(EmpiricalCDF.from_ensemble(m), y)
+        direct, _ = crps(EmpiricalCDF.from_ensemble(m), y)
         energy = np.abs(m - y).mean() - 0.5 * np.abs(
             m[:, None] - m[None, :]
         ).mean()
@@ -94,9 +92,9 @@ def test_components_sum_to_total():
         m = rng.uniform(-20, 20, int(rng.integers(1, 15)))
         y = float(rng.uniform(-25, 25))
         cdf = EmpiricalCDF.from_ensemble(m)
-        total = crps(cdf, y)
+        total, _ = crps(cdf, y)
         for partition in partitions:
-            comp = crps_components(cdf, y, partition)
+            _, comp = crps(cdf, y, partition)
             assert comp.sum() == pytest.approx(
                 total, rel=1e-9, abs=1e-9 * max(1.0, total)
             )
@@ -107,17 +105,17 @@ def test_components_localize():
     # a cell that never sees the integrand contributes exactly zero
     cdf = EmpiricalCDF.from_ensemble([0.0, 1.0])
     partition = rectangular_partition([5.0])
-    comp = crps_components(cdf, 0.5, partition)
+    _, comp = crps(cdf, 0.5, partition)
     assert comp[1] == 0.0
-    assert comp[0] == pytest.approx(crps(cdf, 0.5), rel=1e-12)
+    assert comp[0] == pytest.approx(crps(cdf, 0.5)[0], rel=1e-12)
 
 
-def test_decomposed_wrapper():
+def test_crps_returns_the_total_and_its_components():
     cdf = EmpiricalCDF.from_ensemble([0.0, 2.0])
-    d = crps_decomposed(cdf, 1.0, rectangular_partition([1.0]))
-    assert d.total == 0.5
-    assert d.per_component.shape == (2,)
-    assert d.component_sum == pytest.approx(0.5, rel=1e-12)
+    total, comps = crps(cdf, 1.0, rectangular_partition([1.0]))
+    assert type(total) is float and total == 0.5
+    assert comps.shape == (2,)
+    assert comps.sum() == pytest.approx(0.5, rel=1e-12)
 
 
 def test_components_respect_domain():
@@ -126,11 +124,9 @@ def test_components_respect_domain():
     partition = rectangular_partition([1.0], domain=IntervalDomain(0.0, 10.0))
     cdf = EmpiricalCDF.from_ensemble([2.0, 3.0])
     with pytest.raises(ValidationError):
-        crps_components(cdf, -5.0, partition)  # observation outside
+        crps(cdf, -5.0, partition)  # observation outside
     with pytest.raises(ValidationError):
-        crps_components(
-            EmpiricalCDF.from_ensemble([-2.0, 3.0]), 2.0, partition
-        )  # breakpoint outside
+        crps(EmpiricalCDF.from_ensemble([-2.0, 3.0]), 2.0, partition)  # breakpoint outside
 
 
 def test_read_ensemble_csv_round_trip(tmp_path):
@@ -141,11 +137,11 @@ def test_read_ensemble_csv_round_trip(tmp_path):
         "\n"
         "b,0.25,1.0,1.0,1.0\n"
     )
-    rows = read_ensemble_csv(p)
-    assert [r[0] for r in rows] == ["a", "b"]
-    assert rows[0][1] == 1.0
-    np.testing.assert_array_equal(rows[0][2].breakpoints, [0.0, 2.0])
-    assert crps(rows[1][2], 0.25) == 0.75
+    ens = read_ensemble_csv(p)
+    assert ens.ids == ("a", "b")
+    np.testing.assert_array_equal(ens.observations, [1.0, 0.25])
+    np.testing.assert_array_equal(ens.members, [[0.0, 2.0, 2.0], [1.0, 1.0, 1.0]])
+    assert crps(EmpiricalCDF.from_ensemble(ens.members[1]), 0.25)[0] == 0.75
 
 
 def test_read_ensemble_csv_errors(tmp_path):
@@ -224,8 +220,7 @@ def test_kernel_matches_exact_oracle():
     partition = rectangular_partition(CELLS)
     for members, y in _oracle_batches():
         ens = EnsembleSet([f"c{i}" for i in range(y.size)], y, members)
-        totals = crps(ens, y)
-        comps = crps_components(ens, y, partition)
+        totals, comps = crps(ens, y, partition)
         assert totals.shape == y.shape and comps.shape == (len(CELLS) + 1, y.size)
         for i in range(y.size):
             row = members[i].tolist()
@@ -264,25 +259,23 @@ def test_results_do_not_depend_on_the_block_budget(monkeypatch):
     partition = arctan_pair(0.5)
 
     def results():
-        d = crps_decomposed(ens, y, partition)
-        # the total and the components of one kernel pass are the ones
-        # that crps and crps_components return, bit for bit
-        assert d.total.tobytes() == crps(ens, y).tobytes()
-        assert d.per_component.tobytes() == crps_components(ens, y, partition).tobytes()
-        return d.total.tobytes(), d.per_component.tobytes()
+        totals, comps = crps(ens, y, partition)
+        # the totals of the pass with components are those of the pass
+        # without, bit for bit
+        assert totals.tobytes() == crps(ens, y)[0].tobytes()
+        return totals.tobytes(), comps.tobytes()
 
     default = results()  # every row in one block
     for rows in (1, 3):
         monkeypatch.setattr(veriscore.ensemble, "CRPS_BLOCK_BYTES", 8 * (m + 1) * rows)
         assert results() == default
-    totals = crps(ens, y)
-    comps = crps_components(ens, y, partition)
-    for i, (_, obs, cdf) in enumerate(ens):
-        assert crps(cdf, obs) == totals[i]
-        assert crps_components(cdf, obs, partition).tobytes() == comps[:, i].tobytes()
-        d = crps_decomposed(cdf, obs, partition)
-        assert type(d.total) is float and d.total == totals[i]
-        assert d.per_component.tobytes() == comps[:, i].tobytes()
+    totals, comps = crps(ens, y, partition)
+    for i, obs in enumerate(y):
+        cdf = EmpiricalCDF.from_ensemble(members[i])
+        assert crps(cdf, obs)[0] == totals[i]
+        total, parts = crps(cdf, obs, partition)
+        assert type(total) is float and total == totals[i]
+        assert parts.tobytes() == comps[:, i].tobytes()
         total, parts = _loop(members[i], obs, partition)
         assert total == totals[i] and parts.tobytes() == comps[:, i].tobytes()
 
@@ -295,7 +288,7 @@ def test_components_memory_is_bounded():
     partition = rectangular_partition([-2.0, 0.0, 2.0])
     tracemalloc.start()
     try:
-        comps = crps_components(ens, y, partition)
+        _, comps = crps(ens, y, partition)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -306,11 +299,9 @@ def test_components_memory_is_bounded():
 def test_ensemble_set_rows_and_checks():
     ens = EnsembleSet(["a", "b"], [1.0, 0.25], [[0.0, 2.0, 2.0], [1.0, 1.0, 1.0]])
     assert len(ens) == 2 and ens.members.shape == (2, 3)
-    case_id, obs, cdf = ens[-1]
-    assert (case_id, obs) == ("b", 0.25)
-    np.testing.assert_array_equal(cdf.breakpoints, [1.0])
-    assert [r[0] for r in ens] == ["a", "b"]
-    np.testing.assert_array_equal(crps(ens, ens.observations), [0.5 + 1.0 / 18, 0.75])
+    totals, comps = crps(ens, ens.observations)
+    np.testing.assert_array_equal(totals, [0.5 + 1.0 / 18, 0.75])
+    assert comps is None
     with pytest.raises(ValidationError, match="equal length"):
         EnsembleSet(["a"], [1.0, 2.0], [[1.0], [2.0]])
     with pytest.raises(ValidationError, match="finite"):
@@ -332,11 +323,11 @@ def test_domain_errors_name_the_first_case_in_row_order():
     ens = EnsembleSet(["ok", "low", "both", "high"], y, members)
     # the smallest offending member of the first offending case
     with pytest.raises(ValidationError, match=r"^case low: cdf breakpoint -3\.0 lies"):
-        crps_components(ens, ens.observations, partition)
+        crps(ens, ens.observations, partition)
     # within a case the observation comes first
     ens = EnsembleSet(["both", "high"], y[2:], members[2:])
     with pytest.raises(ValidationError, match=r"^case both: observation -1\.0 lies"):
-        crps_components(ens, ens.observations, partition)
+        crps(ens, ens.observations, partition)
 
 
 def test_cli_domain_errors_name_the_first_case(tmp_path, capsys):

@@ -10,6 +10,7 @@ from veriscore import (
     GeneratorSpec,
     PartitionOfUnity,
     RectangularWeight,
+    RegionGenerator,
     ScoringSpec,
     TrapezoidalWeight,
     ValidationError,
@@ -20,10 +21,8 @@ from veriscore import (
     huber_loss,
     quantile_score,
     rectangular_partition,
-    region_generator,
     score,
     score_components,
-    score_decomposed,
     squared_error,
     trapezoidal_partition,
 )
@@ -32,8 +31,8 @@ TWO_CELLS_AT_TEN = rectangular_partition([10.0])
 
 
 def test_squared_error_split_at_ten_goldens():
-    upper = region_generator(squared_error(), RectangularWeight(10.0, np.inf))
-    lower = region_generator(squared_error(), RectangularWeight(-np.inf, 10.0))
+    upper = RegionGenerator(squared_error(), RectangularWeight(10.0, np.inf))
+    lower = RegionGenerator(squared_error(), RectangularWeight(-np.inf, 10.0))
     assert upper.score(12.0, 8.0) == 12.0
     assert lower.score(12.0, 8.0) == 4.0
     assert upper.score(5.0, 7.0) == 0.0
@@ -43,10 +42,10 @@ def test_squared_error_split_at_ten_goldens():
 
 def test_component_value_and_derivative_goldens():
     w = RectangularWeight(10.0, np.inf)
-    phi2 = region_generator(squared_error(), w, anchor=10.0)
+    phi2 = RegionGenerator(squared_error(), w, anchor=10.0)
     assert phi2.value(12.0) == pytest.approx(8.0)
     assert phi2.derivative(12.0) == pytest.approx(8.0)
-    g2 = region_generator(quantile_score(0.5), w, anchor=10.0)
+    g2 = RegionGenerator(quantile_score(0.5), w, anchor=10.0)
     assert g2.value(12.0) == pytest.approx(2.0)
     with pytest.raises(ValidationError):
         g2.derivative(12.0)
@@ -55,7 +54,7 @@ def test_component_value_and_derivative_goldens():
 def test_components_vanish_exactly_off_support():
     w = RectangularWeight(0.0, 1.0)
     for spec in (quantile_score(0.3), expectile_score(0.7), huber_loss(0.5)):
-        r = region_generator(spec, w)
+        r = RegionGenerator(spec, w)
         # both points to the right, then both to the left: exact zero
         assert r.score(5.0, 7.0) == 0.0
         assert r.score(7.0, 5.0) == 0.0
@@ -66,8 +65,8 @@ def test_components_vanish_exactly_off_support():
 def test_anchor_choice_moves_values_not_scores():
     w = TrapezoidalWeight(-1.0, 0.0, 2.0, 4.0)
     spec = expectile_score(0.6)
-    r0 = region_generator(spec, w, anchor=0.0)
-    r7 = region_generator(spec, w, anchor=7.0)
+    r0 = RegionGenerator(spec, w, anchor=0.0)
+    r7 = RegionGenerator(spec, w, anchor=7.0)
     assert r0.value(3.0) != r7.value(3.0)
     rng = np.random.default_rng(4)
     x = rng.uniform(-5, 8, 50)
@@ -93,10 +92,11 @@ def test_components_sum_to_total_across_families_and_partitions():
             regions = decompose(spec, partition)
             x = rng.uniform(-40, 40, 60)
             y = rng.uniform(-40, 40, 60)
-            d = score_decomposed(regions, x, y)
-            tol = 1e-9 * np.maximum(1.0, np.abs(d.total))
-            assert np.all(np.abs(d.component_sum - d.total) <= tol)
-            assert np.all(d.per_component >= -1e-12)
+            comps = score_components(regions, x, y)
+            total = score(spec, x, y)
+            tol = 1e-9 * np.maximum(1.0, np.abs(total))
+            assert np.all(np.abs(comps.sum(axis=0) - total) <= tol)
+            assert np.all(comps >= -1e-12)
 
 
 def test_components_are_consistent_scores_themselves():
@@ -116,8 +116,8 @@ def test_closed_form_flag_and_quadrature_agreement():
     )
     slow = ScoringSpec("expectile", slow_gen, alpha=0.35)
     w = TrapezoidalWeight(-1.0, 0.0, 2.0, 4.0)
-    r_fast = region_generator(fast, w)
-    r_slow = region_generator(slow, w)
+    r_fast = RegionGenerator(fast, w)
+    r_slow = RegionGenerator(slow, w)
     assert r_fast.has_closed_form
     assert not r_slow.has_closed_form
     rng = np.random.default_rng(12)
@@ -129,8 +129,8 @@ def test_closed_form_flag_and_quadrature_agreement():
     # anchored values and derivatives on the quadrature path
     u = np.linspace(-6.0, 9.0, 31)
     for anchor in (0.0, 3.0, -2.0):
-        a_fast = region_generator(fast, w, anchor=anchor)
-        a_slow = region_generator(slow, w, anchor=anchor)
+        a_fast = RegionGenerator(fast, w, anchor=anchor)
+        a_slow = RegionGenerator(slow, w, anchor=anchor)
         np.testing.assert_allclose(
             a_slow.value(u), a_fast.value(u), rtol=0, atol=1e-9
         )
@@ -172,8 +172,8 @@ def test_quadrature_path_quantile_and_huber():
     x = rng.uniform(-8, 8, 15)
     y = rng.uniform(-8, 8, 15)
     for fast_spec, slow_spec in pairs:
-        r_fast = region_generator(fast_spec, w)
-        r_slow = region_generator(slow_spec, w)
+        r_fast = RegionGenerator(fast_spec, w)
+        r_slow = RegionGenerator(slow_spec, w)
         np.testing.assert_allclose(
             r_fast.score(x, y), r_slow.score(x, y), rtol=0, atol=1e-9
         )
@@ -196,9 +196,8 @@ def test_score_components_stack_shape_and_broadcast():
     x = np.linspace(-3, 8, 7)
     out = score_components(regions, x, 2.0)
     assert out.shape == (3, 7)
-    d = score_decomposed(regions, 3.0, 1.0)
-    assert d.per_component.shape == (3,)
-    assert isinstance(d.total, float)
+    assert score_components(regions, 3.0, 1.0).shape == (3,)
+    assert isinstance(score(quantile_score(0.5), 3.0, 1.0), float)
     with pytest.raises(ValidationError):
         score_components([], 1.0, 2.0)
 
@@ -265,28 +264,19 @@ def test_custom_weight_subclass_goes_through_quadrature():
         )
 
 
-def test_decompose_anchor_overrides_and_length_check():
-    partition = rectangular_partition([0.0])
-    regions = decompose(quantile_score(0.5), partition, anchors=[-1.0, 1.0])
-    assert regions[0].anchor == -1.0
-    assert regions[1].anchor == 1.0
-    with pytest.raises(ValidationError):
-        decompose(quantile_score(0.5), partition, anchors=[0.0])
-
-
 def test_region_generator_input_validation():
     with pytest.raises(ValidationError):
-        region_generator("not a spec", RectangularWeight(0.0, 1.0))
+        RegionGenerator("not a spec", RectangularWeight(0.0, 1.0))
     with pytest.raises(ValidationError):
-        region_generator(squared_error(), "not a weight")
+        RegionGenerator(squared_error(), "not a weight")
     with pytest.raises(ValidationError):
-        region_generator(
+        RegionGenerator(
             squared_error(), RectangularWeight(0.0, 1.0), anchor=np.inf
         )
 
 
 def test_default_anchor_finite_for_unbounded_weight():
-    r = region_generator(squared_error(), ArctanLowerWeight(3.0))
+    r = RegionGenerator(squared_error(), ArctanLowerWeight(3.0))
     assert r.anchor == 0.0
-    r2 = region_generator(squared_error(), RectangularWeight(2.0, np.inf))
+    r2 = RegionGenerator(squared_error(), RectangularWeight(2.0, np.inf))
     assert r2.anchor == 2.0

@@ -11,7 +11,6 @@ from veriscore import (
     ArctanLowerWeight,
     ArctanUpperWeight,
     NormalizedWeight,
-    RectangularWeight,
     TrapezoidalWeight,
     ValidationError,
     elementary_score,
@@ -276,23 +275,20 @@ def test_murphy_writers(tmp_path):
     assert lines[1].startswith("0,")
     assert csv_path.read_bytes() == b"theta,A_mean\r\n0,0\r\n1,0\r\n2,0.25\r\n3,0\r\n"
     meta_path = tmp_path / "curve.json"
-    write_murphy_meta(curve, meta_path, weight=RectangularWeight(0.0, 2.0))
+    write_murphy_meta(curve, meta_path)
     meta = json.loads(meta_path.read_text())
     assert meta["functional"] == "quantile"
     assert meta["alpha"] == 0.5
     assert meta["nu"] is None
     assert meta["grid"] == {"lo": 0.0, "hi": 3.0, "n": 4}
     assert meta["systems"] == ["A"]
-    assert meta["weight"]["kind"] == "rectangular"
+    assert meta["weight"] is None
     assert meta_path.read_text() == (
         '{\n  "functional": "quantile",\n  "alpha": 0.5,\n  "nu": null,\n'
         '  "grid": {\n    "lo": 0.0,\n    "hi": 3.0,\n    "n": 4\n  },\n'
         '  "systems": [\n    "A"\n  ],\n'
-        '  "weight": {\n    "kind": "rectangular",\n    "a": 0.0,\n    "b": 2.0\n'
-        "  }\n}\n"
+        '  "weight": null\n}\n'
     )
-    write_murphy_meta(curve, meta_path)
-    assert json.loads(meta_path.read_text())["weight"] is None
 
 
 def test_verify_mixture_exact_for_polynomial_families():

@@ -1,5 +1,6 @@
 """Comparison reports, synthetic data, helpers, and the hedging model."""
 
+import dataclasses
 import time
 
 import numpy as np
@@ -22,7 +23,9 @@ from veriscore import (
     squared_error,
     stream_rng,
     truncated_normal_mean,
+    write_json,
 )
+from veriscore.cli import _parse_labels
 
 SPLIT_AT_TEN = rectangular_partition([10.0])
 
@@ -316,3 +319,53 @@ def test_hedging_too_few_tail_events():
     # a tiny sample leaves no events above the threshold to assess
     with pytest.raises(ValidationError):
         simulate_hedging(1, n=2, seed=0, threshold=1e6)
+
+
+def test_integer_arguments_are_ints_and_never_bools(tmp_path):
+    ids = [f"c{i}" for i in range(5)]
+    y = np.arange(5.0)
+    a, b = _cases(ids, y + 1.0, y), _cases(ids, y - 0.5, y)
+    boot = dict(ci="bootstrap", bootstrap_samples=10)
+    for bad in (10.0, 2.5, True):
+        with pytest.raises(ValidationError, match="bootstrap_samples must be an integer"):
+            compare(a, b, squared_error(), **dict(boot, bootstrap_samples=bad))
+    with pytest.raises(ValidationError, match="seed must be an integer"):
+        compare(a, b, squared_error(), **boot, seed=True)
+    # checked before the cases are paired up or scored
+    with pytest.raises(ValidationError, match="bootstrap_samples must be an integer"):
+        compare(a, _cases(["x"], [1.0], [0.0]), squared_error(), **dict(boot, bootstrap_samples=2.5))
+    # numpy integers are kept as ints, so every report writes as JSON
+    rep = compare(a, b, squared_error(), ci="bootstrap", bootstrap_samples=np.int64(10), seed=np.int64(3))
+    assert type(rep.bootstrap_samples) is int and type(rep.seed) is int
+    assert rep.to_dict() == compare(a, b, squared_error(), **boot, seed=3).to_dict()
+    write_json(rep.to_dict(), tmp_path / "report.json")
+    hedge = simulate_hedging(np.int64(1), n=np.int64(500), seed=np.int64(2))
+    assert hedge.to_dict() == simulate_hedging(1, n=500, seed=2).to_dict()
+    write_json(hedge.to_dict(), tmp_path / "hedge.json")
+    config = SyntheticConfig(n=np.int64(10), seed=np.int64(1))
+    assert type(config.n) is int and type(config.seed) is int
+    write_json(dataclasses.asdict(config), tmp_path / "meta.json")
+    for call, name in (
+        (lambda: simulate_hedging(1.0), "option"),
+        (lambda: simulate_hedging(1, n=500.0), "n"),
+        (lambda: simulate_hedging(1, seed=True), "seed"),
+        (lambda: SyntheticConfig(n=10.5), "n"),
+        (lambda: SyntheticConfig(seed=True), "seed"),
+        (lambda: stream_rng(True, "synthetic", "observations"), "seed"),
+    ):
+        with pytest.raises(ValidationError, match=f"^{name} must be an integer"):
+            call()
+
+
+def test_compare_labels_are_two_distinct_strings_and_synthetic_seeds_not_negative():
+    ids = ["c1", "c2"]
+    y = np.array([1.0, 2.0])
+    a, b = _cases(ids, y + 1.0, y), _cases(ids, y - 0.5, y)
+    for labels in (("A",), "AB", ("A", "B", "C"), ("A", "A"), ("A", ""), ("A", 1), None):
+        with pytest.raises(ValidationError, match="labels must be two distinct"):
+            compare(a, b, squared_error(), labels=labels)
+    rep = compare(a, b, squared_error(), labels=_parse_labels("ens, det"))
+    assert rep.to_dict()["labels"] == ["ens", "det"]
+    assert compare(a, b, squared_error(), labels=["x", "y"]).label_b == "y"
+    with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+        SyntheticConfig(seed=-1)

@@ -1,10 +1,22 @@
 """Score components against exact oracles at magnitudes up to 1e12.
 
-Partitions are drawn with dyadic knots and power-of-two ramp widths, so
-every piecewise-linear weight is exact in binary and its component
+The cases are a fixed list, so no change elsewhere can move them: four
+hand-picked cases, then 120 that Hypothesis 6.155 drew (derandomized)
+from these strategies:
+- y: a float in [-1e12, 1e12] or one of 1e3, 1e5, 1e6, 1e7, 1e9, 1e12
+  and -1e12; x = y + delta, delta an eighth in [-8, 8], a float in
+  [-16, 16] or a float in [-1e12, 1e12];
+- knots around 0, or around y rounded to an eighth (``near_y``);
+- partitions with dyadic knots: up to four cut points on the eighths of
+  [-8, 8]; up to three ramps starting at multiples of 4 with width 0 or
+  a power of two up to 2; a tabulated pair with power-of-two breakpoint
+  gaps and values in eighths; an arctan pair centred on an eighth;
+- quantile and expectile levels in [0.01, 0.99], Huber caps in
+  [0.01, 100].
+So every piecewise-linear weight is exact in binary and its component
 integrals are exact rationals, computed here with ``fractions.Fraction``.
 The arctan pair is checked against mpmath quadrature at 40 digits.
-Each drawn case checks the identity, nonnegativity, exact zeros off a
+Each case checks the identity, nonnegativity, exact zeros off a
 weight's support, the total, and every component against the oracle,
 all within 1e-9 * max(1, |S|) for the exact total S.
 """
@@ -13,8 +25,6 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
-from hypothesis import HealthCheck, example, given, settings
-from hypothesis import strategies as st
 
 from veriscore import (
     PartitionOfUnity,
@@ -28,38 +38,6 @@ from veriscore import (
     score,
     score_components,
     trapezoidal_partition,
-)
-
-EIGHTHS = st.integers(-64, 64).map(lambda k: k / 8)
-
-LAYOUTS = st.one_of(
-    st.tuples(st.just("rectangular"), st.lists(EIGHTHS, min_size=1, max_size=4)),
-    # ramp i starts at 4 * start_i and has width 0 or a power of two <= 2
-    st.tuples(
-        st.just("trapezoidal"),
-        st.lists(
-            st.tuples(st.integers(-6, 6), st.sampled_from([0.0, 0.125, 0.5, 1.0, 2.0])),
-            min_size=1,
-            max_size=3,
-            unique_by=lambda r: r[0],
-        ),
-    ),
-    # breakpoint gaps are powers of two, values multiples of 1/8
-    st.tuples(
-        st.just("tabulated"),
-        st.tuples(
-            EIGHTHS,
-            st.lists(st.integers(-3, 2), min_size=1, max_size=4),
-            st.lists(st.integers(0, 8), min_size=5, max_size=5),
-        ),
-    ),
-    st.tuples(st.just("arctan"), EIGHTHS),
-)
-
-SPECS = st.one_of(
-    st.tuples(st.just("quantile"), st.floats(0.01, 0.99)),
-    st.tuples(st.just("expectile"), st.floats(0.01, 0.99)),
-    st.tuples(st.just("huber_mean"), st.floats(0.01, 100.0)),
 )
 
 # g' or phi'' of the built-in generators behind each functional
@@ -165,29 +143,146 @@ def _exact_total(functional, param, x, y):
     return float(c * k * (2 * d - k) / 4)
 
 
-@settings(
-    max_examples=120,
-    deadline=None,
-    derandomize=True,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-@given(
-    y=st.one_of(
-        st.floats(-1e12, 1e12),
-        st.sampled_from([1e3, 1e5, 1e6, 1e7, 1e9, 1e12, -1e12]),
-    ),
-    delta=st.one_of(EIGHTHS, st.floats(-16.0, 16.0), st.floats(-1e12, 1e12)),
-    near_y=st.booleans(),
-    layout=LAYOUTS,
-    spec=SPECS,
-)
-@example(y=1e9, delta=1.0, near_y=False, layout=("rectangular", [10.0]), spec=("expectile", 0.5))
-@example(y=1e12, delta=1.0, near_y=False, layout=("rectangular", [10.0]), spec=("huber_mean", 5.0))
-# squared error on arctan_pair(10): the lower component is 3.18339598e-6
-# at y = 1e5 and 3.18310183e-8 at y = 1e7
-@example(y=1e5, delta=1.0, near_y=False, layout=("arctan", 10.0), spec=("expectile", 0.5))
-@example(y=1e7, delta=1.0, near_y=False, layout=("arctan", 10.0), spec=("expectile", 0.5))
-def test_components_match_exact_oracle_at_any_magnitude(y, delta, near_y, layout, spec):
+# (y, delta, near_y, layout, spec)
+CASES = [
+    (1e9, 1.0, False, ("rectangular", [10.0]), ("expectile", 0.5)),
+    (1e12, 1.0, False, ("rectangular", [10.0]), ("huber_mean", 5.0)),
+    # squared error on arctan_pair(10): the lower component is 3.18339598e-6
+    # at y = 1e5 and 3.18310183e-8 at y = 1e7
+    (1e5, 1.0, False, ("arctan", 10.0), ("expectile", 0.5)),
+    (1e7, 1.0, False, ("arctan", 10.0), ("expectile", 0.5)),
+    (0.0, 0.0, False, ("rectangular", [0.0]), ("quantile", 0.01)),
+    (1000.0, 0.0, False, ("rectangular", [0.0]), ("quantile", 0.01)),
+    (10000000.0, -2.510102983196293e-280, True, ("rectangular", [4.875, -7.875]), ("expectile", 0.4)),
+    (10000000.0, 0.0, False, ("rectangular", [0.0]), ("quantile", 0.01)),
+    (10000000.0, 540881066560.17896, True, ("rectangular", [-1.25, -7.125, 6.5, -1.25]), ("expectile", 0.01)),
+    (-42011103400.32678, 0.0, False, ("rectangular", [0.0]), ("quantile", 0.01)),
+    (-42011103400.32678, 1.1754943508222875e-38, False, ("tabulated", (0.625, [0, -1, -2, -2], [5, 8, 2, 2, 5])), ("quantile", 0.8125118700869365)),
+    (-303432893509.12866, 0.0, False, ("rectangular", [0.0]), ("quantile", 0.01)),
+    (-303432893509.12866, 0.25, False, ("trapezoidal", [(5, 0.5)]), ("huber_mean", 0.01)),
+    (-793523287902.8477, 0.0, False, ("rectangular", [0.0]), ("quantile", 0.01)),
+    (-793523287902.8477, -3.4412057946281003, False, ("trapezoidal", [(3, 0.5)]), ("quantile", 0.95)),
+    (-793523287902.8477, 0.95, False, ("trapezoidal", [(3, 0.5)]), ("quantile", 0.95)),
+    (-793523287902.8477, 0.0, False, ("trapezoidal", [(3, 0.5)]), ("quantile", 0.95)),
+    (0.0, 0.0, False, ("trapezoidal", [(3, 0.5)]), ("quantile", 0.95)),
+    (0.95, 0.0, False, ("trapezoidal", [(3, 0.5)]), ("quantile", 0.95)),
+    (1000000000000.0, -15.863455112848548, True, ("tabulated", (-2.125, [2], [5, 6, 4, 3, 7])), ("quantile", 0.5)),
+    (1000000000000.0, -15.863455112848548, True, ("tabulated", (-2.125, [0], [3, 7, 5, 6, 4])), ("quantile", 0.01)),
+    (1000000000000.0, -15.863455112848548, True, ("tabulated", (-2.125, [0], [6, 4, 3, 7, 5])), ("quantile", 0.01)),
+    (1000000000000.0, 0.01, True, ("tabulated", (-2.125, [0], [6, 4, 3, 7, 5])), ("quantile", 0.01)),
+    (1000000000000.0, 0.01, True, ("tabulated", (-2.125, [0], [6, 4, 0, 7, 5])), ("quantile", 0.01)),
+    (1000000000000.0, 0.01, True, ("tabulated", (-2.125, [0], [6, 4, 0, 5, 5])), ("quantile", 0.01)),
+    (1000.0, 324216868040.60425, False, ("arctan", 0.875), ("quantile", 0.29510473941297016)),
+    (1000.0, 324216868040.60425, False, ("arctan", 0.875), ("quantile", 0.01)),
+    (1000.0, 0.01, False, ("arctan", 0.875), ("quantile", 0.01)),
+    (-4.1366636590092655e-135, 3.676462159552552e-157, True, ("rectangular", [-1.25, 5.375, 5.5, -4.875]), ("quantile", 0.30355010824200424)),
+    (3.676462159552552e-157, 3.676462159552552e-157, True, ("rectangular", [-1.25, 5.375, 5.5, -4.875]), ("quantile", 0.30355010824200424)),
+    (3.676462159552552e-157, 3.676462159552552e-157, True, ("rectangular", [-1.25, -4.875, 5.5, -4.875]), ("quantile", 0.30355010824200424)),
+    (3.676462159552552e-157, 3.676462159552552e-157, True, ("rectangular", [-1.25, -4.875, 5.5, 5.5]), ("quantile", 0.30355010824200424)),
+    (3.676462159552552e-157, 0.30355010824200424, True, ("rectangular", [-1.25, -4.875, 5.5, 5.5]), ("quantile", 0.30355010824200424)),
+    (3.676462159552552e-157, 0.30355010824200424, True, ("rectangular", [-1.25, -4.875, 5.5, 5.5]), ("quantile", 0.01)),
+    (3.676462159552552e-157, 0.30355010824200424, True, ("rectangular", [5.5, -4.875, 5.5, 5.5]), ("quantile", 0.01)),
+    (443794989383.7273, -4.375, True, ("arctan", -0.375), ("huber_mean", 1.9)),
+    (1.9, -4.375, True, ("arctan", -0.375), ("huber_mean", 1.9)),
+    (1.9, -4.375, True, ("arctan", -4.375), ("huber_mean", 1.9)),
+    (100000.0, 978568316273.2886, False, ("trapezoidal", [(2, 0.125), (1, 0.0), (-6, 1.0)]), ("huber_mean", 18.344776175432525)),
+    (100000.0, 978568316273.2886, False, ("trapezoidal", [(2, 1.0), (1, 0.0), (-6, 1.0)]), ("huber_mean", 18.344776175432525)),
+    (100000.0, 978568316273.2886, False, ("trapezoidal", [(2, 1.0), (1, 0.0), (-6, 1.0)]), ("huber_mean", 0.01)),
+    (100000.0, 978568316273.2886, False, ("trapezoidal", [(2, 1.0), (0, 0.0)]), ("quantile", 0.01)),
+    (100000.0, 978568316273.2886, False, ("trapezoidal", [(0, 0.5)]), ("quantile", 0.01)),
+    (-1000000000000.0, -773120191406.2219, True, ("tabulated", (-6.25, [-1], [8, 2, 0, 0, 6])), ("expectile", 0.8236296232518565)),
+    (-1000000000000.0, -773120191406.2219, True, ("tabulated", (-6.25, [-1], [8, 2, 0, 0, 6])), ("expectile", 0.01)),
+    (-1000000000000.0, -773120191406.2219, True, ("tabulated", (-6.25, [2], [0, 6, 8, 2, 0])), ("quantile", 0.01)),
+    (-1000000000000.0, -773120191406.2219, True, ("tabulated", (1.0, [2], [0, 6, 8, 2, 0])), ("quantile", 0.01)),
+    (-1000000000000.0, -773120191406.2219, True, ("tabulated", (1.0, [0], [2, 0, 0, 6, 8])), ("huber_mean", 0.01)),
+    (-1000000000000.0, -773120191406.2219, True, ("tabulated", (1.0, [0], [6, 0, 0, 6, 8])), ("huber_mean", 0.01)),
+    (-1000000000000.0, -773120191406.2219, True, ("tabulated", (1.0, [0], [6, 0, 0, 0, 8])), ("huber_mean", 0.01)),
+    (1000000000000.0, 593899776899.4065, True, ("rectangular", [6.375, 7.875, 5.5, 4.5]), ("quantile", 0.3813962338045131)),
+    (1000000000000.0, 593899776899.4065, True, ("rectangular", [6.375, 4.5, 5.5, 4.5]), ("quantile", 0.3813962338045131)),
+    (1000000000000.0, 593899776899.4065, True, ("rectangular", [6.375, 4.5, 4.5, 4.5]), ("quantile", 0.3813962338045131)),
+    (1000000000000.0, 593899776899.4065, True, ("rectangular", [6.375, 4.5, 4.5, 4.5]), ("quantile", 0.01)),
+    (1000000000000.0, 593899776899.4065, True, ("rectangular", [4.5, 4.5, 4.5, 4.5]), ("quantile", 0.01)),
+    (1000000000000.0, 0.01, True, ("rectangular", [4.5, 4.5, 4.5, 4.5]), ("quantile", 0.01)),
+    (-1.5305743830096733e-54, -4.542666258879015, False, ("arctan", -2.625), ("huber_mean", 60.56669586174539)),
+    (-1.5305743830096733e-54, -1.5305743830096733e-54, False, ("arctan", -2.625), ("huber_mean", 60.56669586174539)),
+    (-1.5305743830096733e-54, -1.5305743830096733e-54, False, ("arctan", -2.625), ("huber_mean", 0.01)),
+    (603333813249.4683, 1.0736362187068689e-163, True, ("rectangular", [-7.625]), ("expectile", 0.6994756651056037)),
+    (1.0736362187068689e-163, 1.0736362187068689e-163, True, ("rectangular", [-7.625]), ("expectile", 0.6994756651056037)),
+    (1.0736362187068689e-163, 1.0736362187068689e-163, True, ("rectangular", [-7.625]), ("expectile", 0.01)),
+    (0.01, 1.0736362187068689e-163, True, ("rectangular", [-7.625]), ("expectile", 0.01)),
+    (6.749645920005239e-261, 798115107636.145, True, ("tabulated", (-6.125, [0, -2, -1], [6, 2, 1, 6, 1])), ("quantile", 0.3333333333333333)),
+    (6.749645920005239e-261, 0.3333333333333333, True, ("tabulated", (-6.125, [0, -2, -1], [6, 2, 1, 6, 1])), ("quantile", 0.3333333333333333)),
+    (6.749645920005239e-261, 0.3333333333333333, True, ("tabulated", (-6.125, [0, -2, -1], [2, 2, 1, 6, 1])), ("quantile", 0.3333333333333333)),
+    (6.749645920005239e-261, 0.3333333333333333, True, ("tabulated", (-6.125, [0, -2, -1], [0, 0, 0, 0, 0])), ("quantile", 0.01)),
+    (6.749645920005239e-261, 0.3333333333333333, True, ("tabulated", (0.0, [0, -2, -1], [0, 0, 0, 0, 0])), ("quantile", 0.01)),
+    (6.749645920005239e-261, 0.3333333333333333, True, ("tabulated", (0.0, [0], [0, 0, 0, 0, 0])), ("quantile", 0.01)),
+    (0.01, 0.3333333333333333, True, ("tabulated", (0.0, [0], [0, 0, 0, 0, 0])), ("quantile", 0.01)),
+    (1000000000000.0, 892426706445.3376, False, ("arctan", -4.5), ("expectile", 0.6099436343580442)),
+    (1000000000000.0, 892426706445.3376, False, ("arctan", -4.5), ("expectile", 0.01)),
+    (1000000000000.0, 0.01, False, ("arctan", -4.5), ("expectile", 0.01)),
+    (-980961487762.226, 890374734931.489, True, ("arctan", 1.375), ("huber_mean", 19.89902672289914)),
+    (-980961487762.226, -980961487762.226, True, ("arctan", 1.375), ("huber_mean", 19.89902672289914)),
+    (-980961487762.226, -980961487762.226, True, ("arctan", 1.375), ("huber_mean", 0.01)),
+    (0.01, -980961487762.226, True, ("arctan", 1.375), ("huber_mean", 0.01)),
+    (0.01, 0.01, True, ("arctan", 1.375), ("huber_mean", 0.01)),
+    (4.741971208662476e-184, -581862690312.0892, False, ("trapezoidal", [(-1, 0.125), (5, 0.5), (-3, 2.0)]), ("quantile", 0.99)),
+    (4.741971208662476e-184, -581862690312.0892, False, ("trapezoidal", [(-1, 0.125), (5, 0.5)]), ("quantile", 0.01)),
+    (4.741971208662476e-184, -581862690312.0892, False, ("trapezoidal", [(-1, 0.125), (5, 0.125)]), ("quantile", 0.01)),
+    (0.01, -581862690312.0892, False, ("trapezoidal", [(-1, 0.125), (5, 0.125)]), ("quantile", 0.01)),
+    (-475111669309.2804, -15.947255872347135, False, ("trapezoidal", [(3, 0.5)]), ("quantile", 0.0631502300827218)),
+    (0.0631502300827218, -15.947255872347135, False, ("trapezoidal", [(3, 0.5)]), ("quantile", 0.0631502300827218)),
+    (0.0631502300827218, 0.0631502300827218, False, ("trapezoidal", [(3, 0.5)]), ("quantile", 0.0631502300827218)),
+    (827549486380.6228, -1.375, True, ("tabulated", (-5.125, [-1], [8, 4, 5, 7, 0])), ("huber_mean", 10.0)),
+    (827549486380.6228, -5.125, True, ("tabulated", (-5.125, [-1], [8, 4, 5, 7, 0])), ("huber_mean", 10.0)),
+    (827549486380.6228, -5.125, True, ("tabulated", (-5.125, [0], [7, 0, 8, 4, 5])), ("quantile", 0.01)),
+    (0.01, -5.125, True, ("tabulated", (-5.125, [0], [7, 0, 8, 4, 5])), ("quantile", 0.01)),
+    (1000000.0, -1.0693001546643866e-127, True, ("trapezoidal", [(6, 2.0)]), ("quantile", 0.31924544714252934)),
+    (1000000.0, -1.0693001546643866e-127, True, ("trapezoidal", [(6, 2.0)]), ("quantile", 0.01)),
+    (267855517865.1062, 231163119342.24487, True, ("trapezoidal", [(2, 0.125), (-1, 0.125)]), ("huber_mean", 75.01007050294167)),
+    (267855517865.1062, 231163119342.24487, True, ("trapezoidal", [(2, 0.5), (-1, 0.125)]), ("huber_mean", 75.01007050294167)),
+    (267855517865.1062, 231163119342.24487, True, ("trapezoidal", [(-1, 0.5), (2, 0.5)]), ("expectile", 0.01)),
+    (267855517865.1062, 0.01, True, ("trapezoidal", [(-1, 0.5), (2, 0.5)]), ("expectile", 0.01)),
+    (267855517865.1062, 267855517865.1062, True, ("trapezoidal", [(-1, 0.5), (2, 0.5)]), ("expectile", 0.01)),
+    (1000.0, 293667035845.3208, True, ("trapezoidal", [(-2, 0.0), (4, 1.0)]), ("expectile", 0.39203508771033124)),
+    (1000.0, 0.39203508771033124, True, ("trapezoidal", [(-2, 0.0), (4, 1.0)]), ("expectile", 0.39203508771033124)),
+    (1000.0, 0.39203508771033124, True, ("trapezoidal", [(-2, 0.0), (4, 0.0)]), ("expectile", 0.39203508771033124)),
+    (10000000.0, -9.319237049707139, False, ("arctan", 6.375), ("huber_mean", 0.5)),
+    (10000000.0, 0.5, False, ("arctan", 6.375), ("huber_mean", 0.5)),
+    (958641410461.9253, 4.226592646756014, True, ("trapezoidal", [(-4, 1.0)]), ("expectile", 0.8399964774322183)),
+    (4.226592646756014, 4.226592646756014, True, ("trapezoidal", [(-4, 1.0)]), ("expectile", 0.8399964774322183)),
+    (1.2423383108509694e-234, -11.705537366157664, False, ("rectangular", [-3.125, -7.875, -7.75, 3.375]), ("quantile", 0.4619758399406485)),
+    (1.2423383108509694e-234, -11.705537366157664, False, ("rectangular", [-3.125, -7.875, -7.75, 3.375]), ("quantile", 0.01)),
+    (1.2423383108509694e-234, -11.705537366157664, False, ("rectangular", [-3.125, -7.875, -7.75, -3.125]), ("quantile", 0.01)),
+    (1.2423383108509694e-234, -11.705537366157664, False, ("rectangular", [0.0]), ("quantile", 0.01)),
+    (1.2423383108509694e-234, 1.2423383108509694e-234, False, ("rectangular", [0.0]), ("quantile", 0.01)),
+    (32167432441.137573, 5.078550147127921e-302, True, ("tabulated", (5.5, [0, -3, 0, -3], [5, 6, 7, 8, 0])), ("expectile", 0.9558689966651285)),
+    (32167432441.137573, 5.078550147127921e-302, True, ("tabulated", (5.5, [0, -3, 0, -3], [0, 6, 7, 8, 0])), ("expectile", 0.9558689966651285)),
+    (32167432441.137573, 5.078550147127921e-302, True, ("tabulated", (5.5, [0], [8, 0, 0, 6, 7])), ("quantile", 0.01)),
+    (0.01, 5.078550147127921e-302, True, ("tabulated", (5.5, [0], [8, 0, 0, 6, 7])), ("quantile", 0.01)),
+    (0.01, 5.078550147127921e-302, True, ("tabulated", (5.5, [0], [7, 0, 0, 6, 7])), ("quantile", 0.01)),
+    (0.01, 5.078550147127921e-302, True, ("tabulated", (5.5, [0], [7, 7, 0, 6, 7])), ("quantile", 0.01)),
+    (0.01, 5.078550147127921e-302, True, ("tabulated", (5.5, [0], [7, 7, 0, 7, 7])), ("quantile", 0.01)),
+    (1000.0, -7.0, True, ("arctan", 7.5), ("huber_mean", 84.59038804151987)),
+    (1000.0, 7.5, True, ("arctan", 7.5), ("huber_mean", 84.59038804151987)),
+    (1000000000.0, -929192880118.8396, False, ("arctan", -1.875), ("quantile", 0.8877764587447378)),
+    (1000000000.0, -929192880118.8396, False, ("arctan", -1.875), ("quantile", 0.01)),
+    (1000000000.0, 0.01, False, ("arctan", -1.875), ("quantile", 0.01)),
+    (293842751948.36255, 4.043252655904805, False, ("arctan", 6.125), ("quantile", 0.5)),
+    (293842751948.36255, 4.043252655904805, False, ("arctan", 6.125), ("quantile", 0.01)),
+    (0.01, 4.043252655904805, False, ("arctan", 6.125), ("quantile", 0.01)),
+    (0.01, 0.01, False, ("arctan", 6.125), ("quantile", 0.01)),
+]
+
+
+def test_components_match_exact_oracle_at_any_magnitude():
+    for case in CASES:
+        try:
+            _check(*case)
+        except AssertionError as exc:
+            raise AssertionError(f"{case}: {exc}") from exc
+
+
+def _check(y, delta, near_y, layout, spec):
     # knots sit around 0, or around y on the grid of eighths
     origin = round(y * 8) / 8 if near_y else 0.0
     partition = _partition(layout, origin)

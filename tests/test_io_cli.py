@@ -22,7 +22,6 @@ import veriscore
 from veriscore import (
     CaseSet,
     EnsembleSet,
-    ForecastCase,
     ValidationError,
     fmt12,
     read_cases_csv,
@@ -64,12 +63,9 @@ def test_summary_means_are_the_means_a_reader_of_the_file_computes(tmp_path):
 def test_case_set_validation_and_access():
     cs = CaseSet(["a", "b"], [1.0, 2.0], [0.5, 2.5])
     assert len(cs) == 2
-    assert cs.case("b") == ForecastCase("b", 2.0, 2.5)
-    assert [c.case_id for c in cs] == ["a", "b"]
-    again = CaseSet.from_cases(list(cs))
-    np.testing.assert_array_equal(again.forecasts, cs.forecasts)
-    with pytest.raises(ValidationError):
-        cs.case("zzz")
+    assert cs.ids == ("a", "b")
+    np.testing.assert_array_equal(cs.forecasts, [1.0, 2.0])
+    np.testing.assert_array_equal(cs.observations, [0.5, 2.5])
     with pytest.raises(ValidationError):
         CaseSet(["a"], [1.0, 2.0], [0.5, 2.5])
     with pytest.raises(ValidationError):

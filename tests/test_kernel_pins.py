@@ -18,7 +18,7 @@ from veriscore import (
     PartitionOfUnity,
     TabulatedWeight,
     arctan_pair,
-    crps_components,
+    crps,
     decompose,
     expectile_score,
     huber_loss,
@@ -120,7 +120,7 @@ def test_score_component_bytes_are_pinned(key):
 @pytest.mark.parametrize("part", sorted(CRPS_DIGESTS))
 def test_crps_component_bytes_are_pinned(part):
     ens = _tied_ensembles()
-    comps = crps_components(ens, ens.observations, PARTITIONS[part]())
+    _, comps = crps(ens, ens.observations, PARTITIONS[part]())
     assert _digest(comps) == CRPS_DIGESTS[part]
 
 
@@ -132,5 +132,5 @@ if __name__ == "__main__":
         print(f'    ("{part}", "{spec}"): "{_digest(score_components(regions, x, y))}",')
     ens = _tied_ensembles()
     for part in CRPS_DIGESTS:
-        comps = crps_components(ens, ens.observations, PARTITIONS[part]())
+        _, comps = crps(ens, ens.observations, PARTITIONS[part]())
         print(f'    "{part}": "{_digest(comps)}",')

@@ -19,6 +19,7 @@ from veriscore import (
     PartitionOfUnity,
     REAL_LINE,
     RectangularWeight,
+    RegionGenerator,
     TabulatedWeight,
     TrapezoidalWeight,
     ValidationError,
@@ -31,7 +32,6 @@ from veriscore import (
     partition_config,
     quantile_score,
     rectangular_partition,
-    region_generator,
     trapezoidal_partition,
     normalized_partition,
 )
@@ -537,10 +537,10 @@ def test_double_integral_consistent_with_antiderivative():
     assert float(w.integral(9.0, -9.0)) == -float(w.integral(-9.0, 9.0)) == -3.5
     # and so do the score forms built on them
     for spec in (quantile_score(0.3), expectile_score(0.7), huber_loss(0.5)):
-        r = region_generator(spec, w)
+        r = RegionGenerator(spec, w)
         assert r.score(-9.0, -5.0) == r.score(-5.0, -9.0) == 0.0
         assert r.score(6.0, 9.0) == r.score(9.0, 6.0) == 0.0
     # reversed orientation flips the sign of m0 and of ind - alpha together
-    q = region_generator(quantile_score(0.3), w)
+    q = RegionGenerator(quantile_score(0.3), w)
     assert q.score(9.0, -9.0) == pytest.approx(0.7 * 3.5, rel=1e-15)
     assert q.score(-9.0, 9.0) == pytest.approx(0.3 * 3.5, rel=1e-15)

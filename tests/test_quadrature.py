@@ -14,6 +14,7 @@ from veriscore import (
     NumericError,
     PartitionOfUnity,
     RectangularWeight,
+    RegionGenerator,
     ScoringSpec,
     TabulatedWeight,
     TrapezoidalWeight,
@@ -25,7 +26,6 @@ from veriscore import (
     huber_loss,
     normalized_partition,
     quantile_score,
-    region_generator,
     score_components,
 )
 from veriscore.cli import main
@@ -117,7 +117,7 @@ def test_components_match_quadpack():
     for spec in (quantile_score(0.3), expectile_score(0.5), huber_loss(5.0)):
         cases += [(spec, w) for w in (*NORMALIZED_ARCTAN, *NORMALIZED_TABLES)]
     for spec, w in cases:
-        region = region_generator(spec, w)
+        region = RegionGenerator(spec, w)
         assert not region.has_closed_form
         got = region.score(x, y)
         want = np.array([_oracle(spec, w, a, b) for a, b in zip(x, y)])
