@@ -31,6 +31,8 @@ isolation.
 from __future__ import annotations
 
 import math
+import threading
+from contextlib import closing, suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +72,20 @@ def _integer(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _real(name: str, value, positive: bool = False) -> float:
+    """``value`` as a finite float, above 0 if ``positive``: a Python or
+    numpy real number, never a bool."""
+    x = math.nan
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        with suppress(OverflowError):  # an int beyond the float range
+            x = float(value)
+    if not math.isfinite(x):
+        raise ValidationError(f"{name} must be a finite real number, got {value!r}")
+    if positive and x <= 0:
+        raise ValidationError(f"{name} must be positive, got {value!r}")
+    return x
 
 
 def stream_rng(seed: int, group: str, name: str) -> np.random.Generator:
@@ -244,7 +260,7 @@ def _align(cases_a: CaseSet, cases_b: CaseSet) -> CaseSet:
     return aligned
 
 
-BOOTSTRAP_CHUNK_BYTES = 32 << 20  # memory for one chunk of resample counts
+BOOTSTRAP_CHUNK_BYTES = 40 << 20  # resample counts of one chunk plus two groups of draws
 
 
 def _normal_ci(rows: np.ndarray, means: np.ndarray):
@@ -255,26 +271,77 @@ def _normal_ci(rows: np.ndarray, means: np.ndarray):
     return np.column_stack([means - half, means + half])
 
 
+def _index_draws(rng: np.random.Generator, n: int, samples: int, group: int):
+    """Yield ``samples`` draws of n case indices from ``rng``, in stream order.
+
+    A worker thread, the only user of ``rng``, draws ``group`` resamples
+    at a time, one (group, n) call, while the caller works through the
+    group before; so at most two groups are alive.  An error in the
+    worker is raised here; closing the generator stops the worker and
+    joins it.
+    """
+    slot = [None]
+    free, ready = threading.Semaphore(1), threading.Semaphore(0)
+    stop = False
+
+    def draw():
+        try:
+            for done in range(0, samples, group):
+                free.acquire()
+                if stop:
+                    return
+                size = (min(group, samples - done), n)
+                slot[0] = rng.integers(0, n, size=size, dtype=np.int32)
+                ready.release()
+        except BaseException as exc:  # raised again in the caller below
+            slot[0] = exc
+            ready.release()
+
+    worker = threading.Thread(target=draw, name="bootstrap-draws")
+    worker.start()
+    try:
+        for _ in range(0, samples, group):
+            ready.acquire()
+            block, slot[0] = slot[0], None
+            if isinstance(block, BaseException):
+                raise block
+            free.release()
+            yield from block
+    finally:
+        stop = True
+        free.release()
+        worker.join()
+
+
 def _resample_means(rows: np.ndarray, samples: int, rng: np.random.Generator):
     """(samples, m) means of the rows over case resamples, each correctly rounded.
 
     A resample's means are its case counts c times the rows, over n.  On
     integer slices (``veriscore.exact``) every c . q is an integer below
     2**53, so one float matrix product per chunk of resamples is exact.
+    A second thread draws the indices of the next group of resamples
+    (``_index_draws``) while this one counts and multiplies.  One
+    (g, n) draw equals g draws of size n, in int32 as in int64, so the
+    means depend neither on that thread nor on BOOTSTRAP_CHUNK_BYTES.
+    That budget bounds the float counts of one chunk and the two groups
+    of int32 draws together; a group takes at most an eighth of it.
     """
     m, n = rows.shape
     q, exps = slices(rows, n)
     q = q.reshape(-1, n)
     unit = min([0] + exps)
-    counts = np.empty((max(1, min(samples, BOOTSTRAP_CHUNK_BYTES // (8 * n))), n))
+    group = max(1, BOOTSTRAP_CHUNK_BYTES // (32 * n))
+    # two groups of int32 draws take the bytes of `group` float count rows
+    counts = np.empty((max(1, min(samples, BOOTSTRAP_CHUNK_BYTES // (8 * n) - group)), n))
     means = np.empty((samples, m))
-    for done in range(0, samples, len(counts)):
-        c = counts[: samples - done]
-        for row in c:  # the index stream does not depend on the chunking
-            row[:] = np.bincount(rng.integers(0, n, size=n), minlength=n)
-        sums = (c @ q.T).reshape(len(c), len(exps), m)
-        num = sum(as_int(sums[:, k], b - unit) for k, b in enumerate(exps))
-        means[done : done + len(c)] = num / (n << -unit)  # int / int rounds once
+    with closing(_index_draws(rng, n, samples, group)) as draws:
+        for done in range(0, samples, len(counts)):
+            c = counts[: samples - done]
+            for row in c:
+                row[:] = np.bincount(next(draws), minlength=n)
+            sums = (q @ c.T).T.reshape(len(c), len(exps), m)
+            num = sum(as_int(sums[:, k], b - unit) for k, b in enumerate(exps))
+            means[done : done + len(c)] = num / (n << -unit)  # int / int rounds once
     return means
 
 
@@ -322,11 +389,18 @@ def compare(
             )
         rng = stream_rng(seed, "comparison", "bootstrap")
     aligned_b = _align(cases_a, cases_b)
+    # the difference rows outlive the per-system scores; allocated first, they
+    # leave no holes under them when the scores are released
+    rows = np.empty((1 if partition is None else 1 + len(partition), len(cases_a)))
     totals_a, comps_a = case_scores(spec, cases_a, partition)
     totals_b, comps_b = case_scores(spec, aligned_b, partition)
-    rows = (totals_a - totals_b)[None, :]
+    mean_a, mean_b = float(totals_a.mean()), float(totals_b.mean())
+    comp_means_a = None if comps_a is None else comps_a.mean(axis=1)
+    comp_means_b = None if comps_b is None else comps_b.mean(axis=1)
+    np.subtract(totals_a, totals_b, out=rows[0])
     if partition is not None:
-        rows = np.vstack([rows, comps_a - comps_b])
+        np.subtract(comps_a, comps_b, out=rows[1:])
+    del totals_a, totals_b, comps_a, comps_b  # only rows is needed from here on
     means = rows.mean(axis=1)
     if ci == "normal":
         bounds = _normal_ci(rows, means)
@@ -340,12 +414,12 @@ def compare(
         n=len(cases_a),
         spec=spec,
         partition=partition,
-        mean_a=float(totals_a.mean()),
-        mean_b=float(totals_b.mean()),
-        mean_components_a=None if comps_a is None else comps_a.mean(axis=1),
-        mean_components_b=None if comps_b is None else comps_b.mean(axis=1),
+        mean_a=mean_a,
+        mean_b=mean_b,
+        mean_components_a=comp_means_a,
+        mean_components_b=comp_means_b,
         mean_diff=float(means[0]),
-        mean_diff_components=None if comps_a is None else means[1:],
+        mean_diff_components=None if partition is None else means[1:],
         ci_total=(float(bounds[0, 0]), float(bounds[0, 1])),
         ci_components=None if partition is None else bounds[1:],
         ci_method=ci,
@@ -376,16 +450,13 @@ class SyntheticConfig:
     def __post_init__(self):
         for name in ("n", "seed"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        for name in ("clim_mean", "clim_sd", "err_b_sd", "err_a_center", "err_a_base"):
+            value = _real(name, getattr(self, name), name in ("clim_sd", "err_b_sd"))
+            object.__setattr__(self, name, value)
         if self.n < 1:
             raise ValidationError(f"n must be positive, got {self.n}")
         if self.seed < 0:
             raise ValidationError(f"seed must be a non-negative integer, got {self.seed}")
-        for name in ("clim_sd", "err_b_sd"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0):
-                raise ValidationError(f"{name} must be positive, got {v}")
-        if not np.isfinite(self.err_a_center):
-            raise ValidationError("err_a_center must be finite")
         if self.err_a_base <= math.pi / 2:
             raise ValidationError(
                 "err_a_base must exceed pi/2 so the error spread stays positive"
@@ -621,15 +692,9 @@ def simulate_hedging(
         raise ValidationError(f"option must be 1..5, got {option}")
     if n < 2:
         raise ValidationError(f"n must be at least 2, got {n}")
-    for name, v, positive in (
-        ("threshold", threshold, True),
-        ("mu_mean", mu_mean, False),
-        ("mu_sd", mu_sd, True),
-        ("log_sd", log_sd, True),
-        ("rival_sd", rival_sd, True),
-    ):
-        if not np.isfinite(v) or (positive and v <= 0):
-            raise ValidationError(f"{name} must be finite{' and positive' * positive}, got {v}")
+    threshold, mu_mean = _real("threshold", threshold, True), _real("mu_mean", mu_mean)
+    mu_sd, log_sd = _real("mu_sd", mu_sd, True), _real("log_sd", log_sd, True)
+    rival_sd = _real("rival_sd", rival_sd, True)
 
     mu = stream_rng(seed, "hedging", "situations").normal(mu_mean, mu_sd, n)
     y = np.exp(stream_rng(seed, "hedging", "observations").normal(mu, log_sd, n))

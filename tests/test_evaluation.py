@@ -1,6 +1,7 @@
 """Comparison reports, synthetic data, helpers, and the hedging model."""
 
 import dataclasses
+import threading
 import time
 
 import numpy as np
@@ -154,9 +155,48 @@ def test_bootstrap_bounds_do_not_depend_on_the_chunk_budget(monkeypatch):
         return np.vstack([rep.ci_total, rep.ci_components]).tobytes()
 
     default = bounds()  # every resample in one chunk
-    for budget in (1, 3 * 8 * n):  # chunks of 1 and of 3 resamples
+    for budget in (1, 4 * 8 * n):  # chunks of 1 and of 3 resamples
         monkeypatch.setattr(evaluation, "BOOTSTRAP_CHUNK_BYTES", budget)
         assert bounds() == default
+
+
+class _FailingRng:
+    """A generator whose ``integers`` raises on its k-th call."""
+
+    def __init__(self, k):
+        self.rng, self.k, self.calls = np.random.default_rng(0), k, 0
+
+    def integers(self, *args, **kwargs):
+        self.calls += 1
+        if self.calls == self.k:
+            raise RuntimeError(f"draw {self.k} failed")
+        return self.rng.integers(*args, **kwargs)
+
+
+def test_bootstrap_draw_errors_reach_the_caller_and_the_worker_is_joined(monkeypatch):
+    n = 50
+    ids = [f"c{i}" for i in range(n)]
+    y = np.linspace(-20.0, 30.0, n)
+    a, b = _cases(ids, y + 1.0, y), _cases(ids, y - 2.0, y)
+    threads = threading.active_count()
+    # 60 resamples in one draw call, in 15 calls of 4, and in 60 calls of 1
+    for budget, calls in ((evaluation.BOOTSTRAP_CHUNK_BYTES, 1), (136 * n, 15), (1, 60)):
+        monkeypatch.setattr(evaluation, "BOOTSTRAP_CHUNK_BYTES", budget)
+        for k in sorted({1, min(2, calls), calls}):
+            monkeypatch.setattr(evaluation, "stream_rng", lambda *args, k=k: _FailingRng(k))
+            with pytest.raises(RuntimeError, match=f"draw {k} failed"):
+                compare(
+                    a, b, squared_error(), SPLIT_AT_TEN, ci="bootstrap", bootstrap_samples=60
+                )
+            assert threading.active_count() == threads
+    # an error on the caller's side, after the first chunk of one resample,
+    # stops and joins the worker too
+    monkeypatch.setattr(evaluation, "BOOTSTRAP_CHUNK_BYTES", 1)
+    monkeypatch.setattr(evaluation, "slices", lambda rows, n: (np.zeros((1, 2, n)), [0]))
+    monkeypatch.setattr(evaluation, "as_int", lambda *args: 1 / 0)
+    with pytest.raises(ZeroDivisionError):
+        evaluation._resample_means(np.ones((2, n)), 60, np.random.default_rng(0))
+    assert threading.active_count() == threads
 
 
 def test_compare_components_present_with_partition():
@@ -215,6 +255,30 @@ def test_synthetic_config_validation():
         SyntheticConfig(clim_sd=-1.0)
     with pytest.raises(ValidationError):
         SyntheticConfig(err_a_base=1.5)  # arctan can reach -pi/2
+
+
+def test_real_arguments_are_finite_numbers_and_never_bools(tmp_path):
+    for call, name in (
+        (lambda: SyntheticConfig(clim_mean=True), "clim_mean"),
+        (lambda: SyntheticConfig(err_a_center="10"), "err_a_center"),
+        (lambda: SyntheticConfig(err_a_base=float("nan")), "err_a_base"),
+        (lambda: SyntheticConfig(clim_sd=np.bool_(True)), "clim_sd"),
+        (lambda: simulate_hedging(1, mu_mean=True), "mu_mean"),
+        (lambda: simulate_hedging(1, mu_sd="2"), "mu_sd"),
+        (lambda: simulate_hedging(1, threshold=None), "threshold"),
+        (lambda: simulate_hedging(1, rival_sd=10**400), "rival_sd"),
+    ):
+        with pytest.raises(ValidationError, match=f"^{name} must be a finite real number"):
+            call()
+    with pytest.raises(ValidationError, match="^log_sd must be positive"):
+        simulate_hedging(1, log_sd=0)
+    # Python and numpy numbers are kept as floats, so every report writes as JSON
+    config = SyntheticConfig(n=10, clim_mean=np.float32(4), clim_sd=15, err_b_sd=np.int64(2))
+    assert all(type(getattr(config, f)) is float for f in ("clim_mean", "clim_sd", "err_b_sd"))
+    assert config == SyntheticConfig(n=10)
+    hedge = simulate_hedging(1, n=500, threshold=np.int64(20), mu_mean=np.float64(1.5))
+    assert hedge.to_dict() == simulate_hedging(1, n=500).to_dict()
+    write_json(hedge.to_dict(), tmp_path / "hedge.json")
 
 
 def test_truncated_normal_mean_frozen_and_identity():

@@ -1,5 +1,7 @@
 """Exact integer slices, and bootstrap resample means against a Fraction oracle."""
 
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -70,6 +72,51 @@ def test_resample_means_are_the_fraction_mean_rounded_once(n, monkeypatch):
         got = evaluation._resample_means(rows, 25, np.random.default_rng(7))
         assert got.tobytes() == expected.tobytes(), budget
     assert np.all(got[:, 1] == 0.0)
+
+
+def test_resample_means_do_not_depend_on_the_draw_groups(monkeypatch):
+    # budgets of 136n and 288n bytes draw 4 and 9 resamples a call, in chunks
+    # of 13 and 27 counts, so groups and chunks end at different resamples
+    n = 64
+    rows = _mixed_rows(np.random.default_rng(5), n)
+    expected = _oracle(rows, 40, seed=11)
+    for budget in (136 * n, 288 * n):
+        monkeypatch.setattr(evaluation, "BOOTSTRAP_CHUNK_BYTES", budget)
+        got = evaluation._resample_means(rows, 40, np.random.default_rng(11))
+        assert got.tobytes() == expected.tobytes(), budget
+
+
+def test_concurrent_resamplers_each_keep_their_stream(monkeypatch):
+    # more resamplers than cores, each with its own draw thread, handing over
+    # one resample at a time while the interpreter switches threads often
+    n = 64
+    rows = _mixed_rows(np.random.default_rng(9), n)
+    expected = {seed: _oracle(rows, 30, seed).tobytes() for seed in range(4)}
+    monkeypatch.setattr(evaluation, "BOOTSTRAP_CHUNK_BYTES", 4 * 8 * n)
+    got = {}
+
+    def run(seed):
+        got[seed] = evaluation._resample_means(rows, 30, np.random.default_rng(seed)).tobytes()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(seed,)) for seed in expected]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == expected
+
+
+def test_a_single_resample_mean_is_the_fraction_mean_rounded_once():
+    for n in (2, 64):
+        rows = _mixed_rows(np.random.default_rng(n), n)
+        got = evaluation._resample_means(rows, 1, np.random.default_rng(3))
+        assert got.tobytes() == _oracle(rows, 1, seed=3).tobytes()
 
 
 def test_resample_means_of_a_zero_matrix_are_zero():

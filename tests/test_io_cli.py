@@ -1186,3 +1186,17 @@ def test_cli_import_loads_no_scipy():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_queue_or_futures():
+    # the bootstrap's draw thread uses only threading, which is loaded anyway
+    code = (
+        "import sys, veriscore.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('queue', 'concurrent')))"
+    )
+    src = str(Path(veriscore.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "[]"
