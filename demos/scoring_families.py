@@ -47,7 +47,7 @@ for label, spec in [
     grid = np.linspace(-1.0, 7.0, 1601)
     es = dist.expected_score(spec, grid)
     argmin = float(grid[np.argmin(es)])
-    is_interval = fv.upper - fv.lower > 1e-9
+    is_interval = fv.upper > fv.lower
     interval = (
         f"[{fv.lower:g}, {fv.upper:g}]" if is_interval else f"{fv.value:g}"
     )

@@ -43,7 +43,7 @@ import numpy as np
 
 from .decomposition import RegionGenerator
 from .errors import ValidationError
-from .exact import as_int, slices
+from .exact import as_int, dyadic, slices
 from .io import _write_table, fmt12, write_json
 from .partition import WeightFunction
 from .quadrature import gauss_kronrod
@@ -224,12 +224,8 @@ def _sweep_means(functional, thresholds, x, y, alpha, nu) -> np.ndarray:
         terms.append((rate, s_count - e_count, levels))
     # every threshold and sum is an integer multiple of 2**unit, and each
     # rate p / q has q a power of two dividing den
-    mant, texp = np.frexp(thresholds)
-    unit = min(
-        [0, int(texp.min()) - 53]
-        + [b for _, _, levels in terms for _, b in levels or ()]
-    )
-    theta = as_int(np.ldexp(mant, 53), texp - 53 - unit)
+    unit = min([0] + [b for _, _, levels in terms for _, b in levels or ()])
+    theta, unit = dyadic(thresholds, unit)
     den = max([1] + [rate.as_integer_ratio()[1] for rate, _, _ in terms])
     num = np.zeros(thresholds.size, dtype=object)
     for rate, count, levels in terms:

@@ -511,6 +511,8 @@ def lognormal_mean(mu: float, sigma: float) -> float:
 def lognormal_tail_mean(mu: float, sigma: float, lower: float) -> float:
     """Mean of exp(N(mu, sigma^2)) conditioned on exceeding lower."""
     full = lognormal_mean(mu, sigma)
+    if math.isnan(lower):
+        raise ValidationError("lower bound must not be NaN")
     if lower <= 0:
         return full
     from scipy.stats import norm

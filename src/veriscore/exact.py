@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["slices", "as_int"]
+__all__ = ["slices", "as_int", "dyadic"]
 
 
 def slices(values, n: int) -> tuple[np.ndarray, list[int]]:
@@ -45,3 +45,10 @@ def slices(values, n: int) -> tuple[np.ndarray, list[int]]:
 def as_int(values, shift):
     """Integer-valued floats as Python ints, shifted left elementwise."""
     return values.astype(np.int64).astype(object) << shift
+
+
+def dyadic(values, unit: int = 0) -> tuple[np.ndarray, int]:
+    """(w, u) with values == w * 2**u exactly: Python ints w, and u <= unit."""
+    mant, texp = np.frexp(values)
+    unit = min(unit, int(texp.min()) - 53)
+    return as_int(np.ldexp(mant, 53), texp - 53 - unit), unit

@@ -33,12 +33,15 @@ zero when forecast equals observation.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
 
 from .errors import ValidationError
+from .exact import dyadic
 from .quadrature import gauss_kronrod
 
 __all__ = [
@@ -120,11 +123,12 @@ def check_generator(gen: GeneratorSpec) -> None:
         raise ValidationError(f"generator density {gen.density!r} is not callable")
     grid = np.linspace(-100.0, 100.0, 201)
     d = np.asarray(gen.density(grid), dtype=float)
-    if np.any(d < -1e-12):
-        t = grid[np.argmin(d)]
-        shape, name = ("decreasing", "g'") if gen.family == "g" else ("concave", "phi''")
+    if d.shape != grid.shape:
+        raise ValidationError(f"generator density has shape {d.shape}, t {grid.shape}")
+    i = np.argmin(np.where(np.isfinite(d), d, -np.inf))  # not finite, else the least
+    if not -1e-12 <= d[i] < np.inf:
         raise ValidationError(
-            f"generator is {shape} near t={t:.6g} ({name}={d.min():.3e})"
+            f"generator density is {d[i]:.3e} at t={grid[i]:.6g}; must be finite, >= 0"
         )
 
 
@@ -317,64 +321,53 @@ def _quantile_value(dist: DiscreteDistribution, alpha: float) -> FunctionalValue
     return FunctionalValue(lo, lo, hi)
 
 
-def _expectile_value(dist: DiscreteDistribution, alpha: float) -> FunctionalValue:
-    v, p = dist.values, dist.probs
+def _root_set(dist: DiscreteDistribution, alpha, nu) -> FunctionalValue:
+    """The expectile at level alpha (nu None) or the Huber mean with cap nu.
 
-    def ident(x):
-        above = np.maximum(v - x, 0.0) @ p
-        below = np.maximum(x - v, 0.0) @ p
-        return alpha * above - (1.0 - alpha) * below
+    On the inputs as dyadic integers every sign is exact.  The root set's
+    ends are n / m on the segments ending at the first kinks where the
+    identification function is <= 0 and < 0.
+    """
+    w, unit = dyadic(np.concatenate(([nu or 0.0], dist.values, dist.probs)))
+    c, (v, q) = w[0], w[1:].reshape(2, -1)
+    mass, moment = (list(accumulate(s, initial=0)) for s in (q, q * v))
+    if nu is None:  # kinks at the support, and one past it
+        a, b = alpha.as_integer_ratio()
+        kinks = [*v, v[-1] + 1]
+        def coef(k):  # alpha above + (1 - alpha) below: the points [0, j)
+            j = bisect_left(v, k)
+            return [a * (s[-1] - s[j]) + (b - a) * s[j] for s in (moment, mass)]
+    else:  # kinks at v -+ nu
+        low, high = (v + c).tolist(), (v - c).tolist()
+        kinks = sorted(low + high)
+        def coef(k):  # the points [0, i) are capped at -nu, [j, end) at +nu
+            i, j = bisect_left(low, k), bisect_left(high, k)
+            n = moment[j] - moment[i] + c * (mass[-1] - mass[j] - mass[i])
+            return n, mass[j] - mass[i]
 
-    lo, hi = float(v[0]), float(v[-1])
-    if lo == hi:
-        return FunctionalValue(lo, lo, lo)
-    from scipy import optimize
-    root = float(optimize.brentq(ident, lo, hi, xtol=1e-13, rtol=8.9e-16))
-    return FunctionalValue(root, root, root)
+    def value(k):
+        n, m = coef(k)
+        return n - m * k
 
-
-def _huber_value(dist: DiscreteDistribution, nu: float) -> FunctionalValue:
-    v, p = dist.values, dist.probs
-
-    def ident(x):
-        return float(np.clip(v - x, -nu, nu) @ p)
-
-    span = max(1.0, float(v[-1] - v[0]))
-    lo, hi = float(v[0]) - nu, float(v[-1]) + nu
-
-    def boundary(keep_positive: bool):
-        a, b = lo, hi
-        for _ in range(200):
-            if b - a <= 1e-14 * span:
-                break
-            m = 0.5 * (a + b)
-            val = ident(m)
-            if (val > 0.0) if keep_positive else (val >= 0.0):
-                a = m
-            else:
-                b = m
-        return 0.5 * (a + b)
-
-    left = boundary(keep_positive=True)
-    right = boundary(keep_positive=False)
-    if right < left:  # single crossing, both bisections met at the root
-        left = right = 0.5 * (left + right)
-    return FunctionalValue(0.5 * (left + right), left, right)
+    (n1, m1), (n2, m2) = (
+        coef(kinks[bisect_left(kinks, True, key=key)])
+        for key in (lambda k: value(k) <= 0, lambda k: value(k) < 0)
+    )
+    d = 2 * m1 * m2 << -unit  # int / int is correctly rounded
+    return FunctionalValue((n1 * m2 + n2 * m1) / d, 2 * n1 * m2 / d, 2 * n2 * m1 / d)
 
 
 def functional_value(spec: ScoringSpec, dist: DiscreteDistribution) -> FunctionalValue:
     """The quantile, expectile, or Huber mean of a discrete distribution.
 
     Quantiles use the generalized inverse and report the full interval
-    when the level is hit exactly; expectiles are the unique root of the
-    asymmetric identification function; Huber means are the root set of
-    the capped identification function, found by bisection.
+    when the level is hit exactly.  Expectiles and Huber means are in
+    closed form on the sign-change segment of their piecewise-linear
+    identification functions (``_root_set``): the exact root set.
     """
     if spec.functional == "quantile":
         return _quantile_value(dist, spec.alpha)
-    if spec.functional == "expectile":
-        return _expectile_value(dist, spec.alpha)
-    return _huber_value(dist, spec.nu)
+    return _root_set(dist, spec.alpha, spec.nu)
 
 
 # --- common ready-made specs ------------------------------------------------

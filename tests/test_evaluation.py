@@ -310,6 +310,12 @@ def test_lognormal_helpers():
         lognormal_mean(0.0, -0.1)
 
 
+def test_lognormal_tail_mean_refuses_nan_bound():
+    # as truncated_normal_mean does; a NaN bound used to return NaN
+    with pytest.raises(ValidationError, match="NaN"):
+        lognormal_tail_mean(1.5, 0.4, np.nan)
+
+
 def test_hedging_option1_frozen():
     r = simulate_hedging(1, seed=0)
     assert r.option == 1 and r.n_events == 8000

@@ -1188,6 +1188,23 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_functional_value_loads_no_scipy():
+    # functional values are exact integer arithmetic, with no scipy solver
+    code = (
+        "import sys, veriscore as v; "
+        "d = v.DiscreteDistribution([0.0, 1.0, 5.0], [0.2, 0.5, 0.3]); "
+        "[v.functional_value(s, d) for s in "
+        "(v.quantile_score(0.3), v.expectile_score(0.3), v.huber_loss(1.0))]; "
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    )
+    src = str(Path(veriscore.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "[]"
+
+
 def test_cli_import_loads_no_queue_or_futures():
     # the bootstrap's draw thread uses only threading, which is loaded anyway
     code = (

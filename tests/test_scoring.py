@@ -1,6 +1,8 @@
 """Scoring-family values, functional solvers, and validation."""
 
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -179,6 +181,18 @@ def test_custom_generator_probed_at_construction():
         check_generator(GeneratorSpec.custom_phi(None))
 
 
+def test_custom_generator_density_must_be_finite_array():
+    for density, where in (
+        (lambda t: np.where(np.asarray(t) > 3.0, np.nan, 1.0), "t=4"),
+        (lambda t: np.where(np.asarray(t) < -50.0, np.inf, 1.0), "t=-100"),
+        (lambda t: 1.0, r"shape \(\), t \(201,\)"),
+    ):
+        with pytest.raises(ValidationError, match=where):
+            check_generator(GeneratorSpec.custom_g(density))
+        with pytest.raises(ValidationError, match=where):
+            ScoringSpec("expectile", GeneratorSpec.custom_phi(density), alpha=0.5)
+
+
 def test_custom_generator_total_matches_components_at_large_magnitude():
     # without deriv_const the total is a quadrature of phi'' in coordinates
     # local to y, the form its components use; phi(x) - phi(y) would cancel
@@ -303,13 +317,111 @@ def test_expectile_linear_in_level_for_two_points():
 def test_huber_mean_interval_and_unique_root():
     d = DiscreteDistribution([0.0, 6.0], [0.5, 0.5])
     fv = functional_value(huber_loss(1.0), d)
-    assert fv.lower == pytest.approx(1.0, abs=1e-9)
-    assert fv.upper == pytest.approx(5.0, abs=1e-9)
-    assert fv.value == pytest.approx(3.0, abs=1e-9)
+    assert (fv.lower, fv.upper) == (1.0, 5.0)
+    assert fv.value == 3.0
     skew = DiscreteDistribution([0.0, 6.0], [0.25, 0.75])
     fv2 = functional_value(huber_loss(1.0), skew)
     assert fv2.value == pytest.approx(17.0 / 3.0, abs=1e-9)
-    assert fv2.upper - fv2.lower == pytest.approx(0.0, abs=1e-9)
+    assert fv2.lower == fv2.upper
+
+
+def _oracle_root_set(kinks, ident):
+    """Exact ends of the root set of a nonincreasing piecewise-linear function.
+
+    The function is evaluated exactly at every kink; each end is the
+    linear interpolation between the kink before the first one where it
+    is <= 0 (lower end) or < 0 (upper end) and that kink.
+    """
+    ks = sorted(set(kinks))
+    fs = [ident(k) for k in ks]
+
+    def end(hit):
+        j = next((j for j, f in enumerate(fs) if hit(f)), None)
+        if j is None:  # zero at the last kink and never negative
+            return ks[-1]
+        if j == 0:
+            return ks[0]
+        return ks[j - 1] + fs[j - 1] * (ks[j] - ks[j - 1]) / (fs[j - 1] - fs[j])
+
+    return end(lambda f: f <= 0), end(lambda f: f < 0)
+
+
+def _oracle_expectile(d, alpha):
+    v = [Fraction(t) for t in d.values]
+    p = [Fraction(t) for t in d.probs]
+    a = Fraction(alpha)
+
+    def ident(x):
+        return sum(
+            pi * (a * max(vi - x, 0) - (1 - a) * max(x - vi, 0)) for vi, pi in zip(v, p)
+        )
+
+    return _oracle_root_set(v, ident)
+
+
+def _oracle_huber(d, nu):
+    v = [Fraction(t) for t in d.values]
+    p = [Fraction(t) for t in d.probs]
+    c = Fraction(nu)
+
+    def ident(x):
+        return sum(pi * min(max(vi - x, -c), c) for vi, pi in zip(v, p))
+
+    return _oracle_root_set([vi + s for vi in v for s in (-c, c)], ident)
+
+
+def test_functional_values_match_exact_oracle():
+    # 1,000 seeded distributions, 1 to 8 points, Dirichlet or 1/k masses,
+    # real or integer support; every expectile and Huber end lies within
+    # 8 ulp of max|v| of the exact root set
+    rng = np.random.default_rng(25)
+    intervals = 0
+    for i in range(1000):
+        k = int(rng.integers(1, 9))
+        if i % 2:
+            vals = rng.integers(-10, 11, k).astype(float)
+        else:
+            vals = rng.uniform(-10.0, 10.0, k)
+        probs = np.full(k, 1.0 / k) if i % 4 < 2 else rng.dirichlet(np.ones(k))
+        d = DiscreteDistribution(vals, probs)
+        bound = 8 * 2.0**-52 * float(np.abs(d.values).max())
+        alpha = float(rng.uniform(0.01, 0.99))
+        nu = float(rng.choice([0.5, 1.0, 2.0, rng.uniform(0.1, 5.0)]))
+        fv = functional_value(expectile_score(alpha), d)
+        lo, hi = _oracle_expectile(d, alpha)
+        assert lo == hi
+        assert fv.lower == fv.upper == fv.value
+        assert abs(Fraction(fv.value) - lo) <= bound, (d, alpha)
+        fv = functional_value(huber_loss(nu), d)
+        lo, hi = _oracle_huber(d, nu)
+        assert abs(Fraction(fv.lower) - lo) <= bound, (d, nu)
+        assert abs(Fraction(fv.upper) - hi) <= bound, (d, nu)
+        assert (fv.upper > fv.lower) == (hi > lo), (d, nu, fv)
+        intervals += hi > lo
+    assert intervals >= 20
+
+
+def test_functional_values_exact_in_hard_cases():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # a flat piece of the Huber identification function is found exactly
+        d = DiscreteDistribution([0, 1, 2, 10, 11, 12], [1 / 6] * 6)
+        fv = functional_value(huber_loss(1.0), d)
+        assert (fv.lower, fv.upper) == (3.0, 9.0)
+        # a point mass has one root, not an interval around it
+        point = DiscreteDistribution([3.0], [1.0])
+        for spec in (huber_loss(1.0), expectile_score(0.3)):
+            fv = functional_value(spec, point)
+            assert (fv.value, fv.lower, fv.upper) == (3.0, 3.0, 3.0)
+        # a small root keeps its relative accuracy
+        d = DiscreteDistribution([0.0, 1.0, 5.0], [0.2, 0.5, 0.3])
+        fv = functional_value(expectile_score(1e-9), d)
+        lo, hi = _oracle_expectile(d, 1e-9)
+        assert abs(Fraction(fv.value) - lo) <= 8 * 2.0**-52 * lo
+        # nothing overflows at the largest magnitudes
+        d = DiscreteDistribution([-1e308, 1e308], [0.5, 0.5])
+        fv = functional_value(huber_loss(1e308), d)
+        assert (fv.value, fv.lower, fv.upper) == (0.0, 0.0, 0.0)
 
 
 def test_huber_mean_approaches_mean_for_large_cap():
