@@ -130,11 +130,13 @@ def _resolve_grid(grid, x_all: np.ndarray, y_all: np.ndarray) -> np.ndarray:
         n = 501 if grid is None else int(grid)
         if n < 2:
             raise ValidationError("threshold grid needs at least 2 points")
-        lo = min(x_all.min(), y_all.min())
-        hi = max(x_all.max(), y_all.max())
+        # halved ends and pad keep the grid finite out to the largest float
+        lo = min(x_all.min(), y_all.min()) / 2
+        hi = max(x_all.max(), y_all.max()) / 2
         span = hi - lo
-        pad = 0.05 * span if span > 0 else 1.0
-        return np.linspace(lo - pad, hi + pad, n)
+        pad = 0.05 * span if span > 0 else 0.5
+        half_max = np.finfo(float).max / 2
+        return 2.0 * np.linspace(max(lo - pad, -half_max), min(hi + pad, half_max), n)
     if isinstance(grid, tuple) and len(grid) == 3:
         # only a tuple is the range form; a list or an array is the grid itself
         lo, hi, n = (float(v) for v in grid)

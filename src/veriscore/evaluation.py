@@ -52,7 +52,6 @@ __all__ = [
     "compare",
     "SyntheticConfig",
     "generate_synthetic",
-    "truncated_normal_mean",
     "lognormal_mean",
     "lognormal_tail_mean",
     "StrategyResult",
@@ -488,24 +487,15 @@ def generate_synthetic(config: SyntheticConfig = SyntheticConfig()):
     return CaseSet(ids, x_a, y), CaseSet(ids, x_b, y)
 
 
-def truncated_normal_mean(mean: float, sd: float, lower: float) -> float:
-    """Mean of a normal distribution conditioned on exceeding lower."""
-    if not (np.isfinite(mean) and np.isfinite(sd) and sd > 0):
-        raise ValidationError(f"need finite mean and positive sd, got {mean}, {sd}")
-    if lower == -np.inf:
-        return float(mean)
-    if not np.isfinite(lower):
-        raise ValidationError("lower bound must be finite or -inf")
-    from scipy.stats import truncnorm
-    a = (lower - mean) / sd
-    return float(truncnorm.mean(a, np.inf, loc=mean, scale=sd))
-
-
 def lognormal_mean(mu: float, sigma: float) -> float:
     """Mean of exp(N(mu, sigma^2))."""
     if not (np.isfinite(mu) and np.isfinite(sigma) and sigma > 0):
         raise ValidationError(f"need finite mu and positive sigma, got {mu}, {sigma}")
-    return float(np.exp(mu + 0.5 * sigma * sigma))
+    with np.errstate(over="ignore"):
+        mean = float(np.exp(mu + 0.5 * sigma * sigma))
+    if not math.isfinite(mean):
+        raise ValidationError(f"lognormal mean overflows for mu={mu}, sigma={sigma}")
+    return mean
 
 
 def lognormal_tail_mean(mu: float, sigma: float, lower: float) -> float:
@@ -515,14 +505,22 @@ def lognormal_tail_mean(mu: float, sigma: float, lower: float) -> float:
         raise ValidationError("lower bound must not be NaN")
     if lower <= 0:
         return full
-    from scipy.stats import norm
-    z = (math.log(lower) - mu) / sigma
-    tail = norm.sf(z)
-    if tail <= 0.0:
+    mean, usable = _tail_mean(full, mu, sigma, lower)
+    if not usable:
         raise ValidationError(
             f"tail probability above {lower} underflows for mu={mu}, sigma={sigma}"
         )
-    return float(full * norm.sf(z - sigma) / tail)
+    return float(mean)
+
+
+def _tail_mean(mean, mu, sigma: float, lower: float):
+    """E[X | X > lower] of X = exp(N(mu, sigma^2)) with E[X] = ``mean``, elementwise,
+    and where P(X > lower) is a normal float.  Tails are erfc(z / sqrt 2) / 2."""
+    z = (math.log(lower) - mu) / sigma
+    half = np.stack([z, z - sigma]) * math.sqrt(0.5)
+    tail, upper = np.vectorize(math.erfc, otypes=[float])(half) / 2  # numpy has no erfc
+    usable = tail >= np.finfo(float).tiny  # a subnormal tail loses digits
+    return mean * upper / np.where(usable, tail, 1.0), usable
 
 
 @dataclass(frozen=True)
@@ -698,59 +696,64 @@ def simulate_hedging(
     mu_sd, log_sd = _real("mu_sd", mu_sd, True), _real("log_sd", log_sd, True)
     rival_sd = _real("rival_sd", rival_sd, True)
 
-    mu = stream_rng(seed, "hedging", "situations").normal(mu_mean, mu_sd, n)
-    y = np.exp(stream_rng(seed, "hedging", "observations").normal(mu, log_sd, n))
-    delta = stream_rng(seed, "hedging", "rival").normal(0.0, rival_sd, n)
+    # an overflow shows as a result the finite check below names, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = stream_rng(seed, "hedging", "situations").normal(mu_mean, mu_sd, n)
+        y = np.exp(stream_rng(seed, "hedging", "observations").normal(mu, log_sd, n))
+        delta = stream_rng(seed, "hedging", "rival").normal(0.0, rival_sd, n)
 
-    half_var = 0.5 * log_sd * log_sd
-    m = np.exp(mu + half_var)  # honest point forecast: Mean(F_B)
-    x_rival = np.exp(mu + delta + half_var)
-    t = threshold
+        half_var = 0.5 * log_sd * log_sd
+        m = np.exp(mu + half_var)  # honest point forecast: Mean(F_B)
+        x_rival = np.exp(mu + delta + half_var)
+        t = threshold
 
-    from scipy.stats import norm
-    z = (math.log(t) - mu) / log_sd
-    tail = norm.sf(z)
-    safe_tail = np.where(tail > 0, tail, 1.0)
-    tail_mean = np.where(tail > 0, m * norm.sf(z - log_sd) / safe_tail, t)
+        tail_mean, usable = _tail_mean(m, mu, log_sd, t)
+        tail_mean = np.where(usable, tail_mean, t)
 
-    neither = np.maximum(x_rival, m) < t
-    forcing_pays = neither & ((t - m) ** 2 < (x_rival - m) ** 2)
-    forecasts = {
-        "tail_conditional_mean": tail_mean,
-        "forced_assessment": np.where(forcing_pays, t, m),
-        "threshold_dodge": np.where(forcing_pays, t, np.where(neither, t - 0.1, m)),
-        # the assessed set ignores the submitted forecast and the outcome
-        # distribution is unchanged by conditioning on the rival, so the
-        # optimal strategic submission is the honest mean itself
-        "strategic": m,
-    }
+        neither = np.maximum(x_rival, m) < t
+        forcing_pays = neither & ((t - m) ** 2 < (x_rival - m) ** 2)
+        forecasts = {
+            "tail_conditional_mean": tail_mean,
+            "forced_assessment": np.where(forcing_pays, t, m),
+            "threshold_dodge": np.where(forcing_pays, t, np.where(neither, t - 0.1, m)),
+            # the assessed set ignores the submitted forecast and the outcome
+            # distribution is unchanged by conditioning on the rival, so the
+            # optimal strategic submission is the honest mean itself
+            "strategic": m,
+        }
 
-    params = {
-        "n": n,
-        "threshold": t,
-        "mu_mean": mu_mean,
-        "mu_sd": mu_sd,
-        "log_sd": log_sd,
-        "rival_sd": rival_sd,
-    }
+        params = {
+            "n": n,
+            "threshold": t,
+            "mu_mean": mu_mean,
+            "mu_sd": mu_sd,
+            "log_sd": log_sd,
+            "rival_sd": rival_sd,
+        }
 
-    note, assessed, score_fn, paired, names = _HEDGING_RULES[option]
-    h_scores = score_fn(m, y, t)
-    sel = assessed(m, y, x_rival, t)
-    h_mean, h_se, cnt = _masked_mean(h_scores, sel, "honest")
-    honest = StrategyResult("honest", cnt, h_mean, h_se, 0.0, 0.0)
-    strategies = []
-    for name in names:
-        s = forecasts[name]
-        s_scores = score_fn(s, y, t)
-        s_sel = sel if paired else assessed(s, y, x_rival, t)
-        s_mean, s_se, s_cnt = _masked_mean(s_scores, s_sel, name)
-        if paired:
-            d = (h_scores - s_scores)[sel]
-            gain, gain_se = float(d.mean()), float(d.std(ddof=1) / math.sqrt(cnt))
-        else:
-            gain, gain_se = h_mean - s_mean, float(np.hypot(h_se, s_se))
-        strategies.append(StrategyResult(name, s_cnt, s_mean, s_se, gain, gain_se))
+        note, assessed, score_fn, paired, names = _HEDGING_RULES[option]
+        h_scores = score_fn(m, y, t)
+        sel = assessed(m, y, x_rival, t)
+        h_mean, h_se, cnt = _masked_mean(h_scores, sel, "honest")
+        honest = StrategyResult("honest", cnt, h_mean, h_se, 0.0, 0.0)
+        strategies = []
+        for name in names:
+            s = forecasts[name]
+            s_scores = score_fn(s, y, t)
+            s_sel = sel if paired else assessed(s, y, x_rival, t)
+            s_mean, s_se, s_cnt = _masked_mean(s_scores, s_sel, name)
+            if paired:
+                d = (h_scores - s_scores)[sel]
+                gain, gain_se = float(d.mean()), float(d.std(ddof=1) / math.sqrt(cnt))
+            else:
+                gain, gain_se = h_mean - s_mean, float(np.hypot(h_se, s_se))
+            strategies.append(StrategyResult(name, s_cnt, s_mean, s_se, gain, gain_se))
+
+    for result in (honest, *strategies):
+        for key in ("mean_score", "se", "gain", "gain_se"):
+            value = getattr(result, key)
+            if not math.isfinite(value):
+                raise NumericError(f"hedging strategy {result.name}: {key} is {value}")
 
     return HedgingReport(
         option=option,

@@ -365,7 +365,8 @@ def write_paired_csv(cases_a: CaseSet, cases_b: CaseSet, path) -> None:
 
 
 def write_json(obj, path) -> None:
-    """Write JSON with stable layout: insertion order, indent 2."""
+    """Write JSON with stable layout: insertion order, indent 2.  The text is
+    built before the file is opened, so a value JSON refuses leaves no file."""
+    text = json.dumps(obj, indent=2, sort_keys=False, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=False, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")

@@ -88,6 +88,18 @@ def test_murphy_curve_grid_and_shapes():
     assert auto.thresholds[-1] == pytest.approx(6.0 + 0.25)
 
 
+def test_murphy_default_grid_spans_the_whole_float_range():
+    # ends and pad are taken in halves, so data 2e308 apart still give a finite grid
+    x, y = np.array([-1e308, 1e308]), np.array([0.0, 1.0])
+    curve = murphy_curve({"big": (x, y)}, "quantile", alpha=0.5, grid=5)
+    theta = curve.thresholds
+    assert np.isfinite(theta).all() and (np.diff(theta) > 0).all()
+    assert theta[0] <= x.min() and theta[-1] >= x.max()
+    direct = [elementary_score("quantile", t, x, y, alpha=0.5).mean() for t in theta]
+    np.testing.assert_array_equal(curve.means[0], direct)
+    assert curve.means[0].tolist() == [0.0, 0.25, 0.0, 0.25, 0.0]
+
+
 def test_murphy_curve_point_matches_elementary_mean():
     x = np.array([12.0, 8.0])
     y = np.array([8.0, 12.0])

@@ -1,9 +1,11 @@
 """Comparison reports, synthetic data, helpers, and the hedging model."""
 
 import dataclasses
+import math
 import threading
 import time
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -23,7 +25,6 @@ from veriscore import (
     simulate_hedging,
     squared_error,
     stream_rng,
-    truncated_normal_mean,
     write_json,
 )
 from veriscore.cli import _parse_labels
@@ -281,18 +282,6 @@ def test_real_arguments_are_finite_numbers_and_never_bools(tmp_path):
     write_json(hedge.to_dict(), tmp_path / "hedge.json")
 
 
-def test_truncated_normal_mean_frozen_and_identity():
-    got = truncated_normal_mean(10.0, 5.0, 20.0)
-    assert got == pytest.approx(21.8660776641142, rel=1e-12)
-    # hazard-ratio identity: mean + sd * pdf(z) / sf(z)
-    from scipy.stats import norm
-
-    z = (20.0 - 10.0) / 5.0
-    assert got == pytest.approx(10.0 + 5.0 * norm.pdf(z) / norm.sf(z), rel=1e-12)
-    with pytest.raises(ValidationError):
-        truncated_normal_mean(0.0, -1.0, 1.0)
-
-
 def test_lognormal_helpers():
     assert lognormal_mean(1.5, 0.4) == pytest.approx(np.exp(1.5 + 0.08), rel=1e-12)
     tail = lognormal_tail_mean(1.5, 0.4, 20.0)
@@ -311,9 +300,52 @@ def test_lognormal_helpers():
 
 
 def test_lognormal_tail_mean_refuses_nan_bound():
-    # as truncated_normal_mean does; a NaN bound used to return NaN
+    # a NaN bound is neither above nor below 0; it used to return NaN
     with pytest.raises(ValidationError, match="NaN"):
         lognormal_tail_mean(1.5, 0.4, np.nan)
+
+
+def test_lognormal_means_refuse_overflow():
+    # exp(800.5) is past the largest float; it used to return inf with a warning
+    with pytest.raises(ValidationError, match="overflows"):
+        lognormal_mean(800, 1.0)
+    with pytest.raises(ValidationError, match="overflows"):
+        lognormal_tail_mean(800, 1.0, 20.0)
+    with pytest.raises(ValidationError, match="underflows"):
+        lognormal_tail_mean(0.0, 1.0, np.exp(40.0))
+
+
+def _mp_tail(z):
+    return mpmath.erfc(mpmath.mpf(z) / mpmath.sqrt(2)) / 2
+
+
+def test_tail_probability_matches_mpmath():
+    # with sigma = 100 the upper tail P(N > z - 100) rounds to exactly 1, so the
+    # helper returns 1 / P(N > z), its normal tail at z = -mu / 100
+    mu = -100.0 * np.linspace(-8.0, 37.0, 2001)
+    means, usable = evaluation._tail_mean(1.0, mu, 100.0, 1.0)
+    assert usable.all()
+    z = -mu / 100
+    with mpmath.workdps(40):
+        worst = max(abs(1 / (m * _mp_tail(v)) - 1) for m, v in zip(means.tolist(), z.tolist()))
+    assert worst < 4e-13
+    # at z = 38 erfc gives a subnormal tail, where norm.sf gives 0: neither is used
+    assert 0 < math.erfc(38 * math.sqrt(0.5)) / 2 < np.finfo(float).tiny
+    assert not evaluation._tail_mean(1.0, -3800.0, 100.0, 1.0)[1]
+
+
+def test_lognormal_tail_mean_matches_mpmath():
+    worst = 0.0
+    with mpmath.workdps(40):
+        for mu in (-3.0, 0.0, 1.5, 10.0):
+            for sigma in (0.1, 0.4, 1.0, 2.5):
+                for lower in np.exp(mu + sigma * np.linspace(-8.0, 36.0, 300)).tolist():
+                    z = (mpmath.log(lower) - mu) / sigma
+                    mean = mpmath.exp(mu + sigma**2 / 2)
+                    want = mean * _mp_tail(z - sigma) / _mp_tail(z)
+                    got = lognormal_tail_mean(mu, sigma, lower)
+                    worst = max(worst, abs((got - want) / want))
+    assert worst < 4e-13
 
 
 def test_hedging_option1_frozen():

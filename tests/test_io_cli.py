@@ -846,6 +846,17 @@ def test_cli_hedge_writes_report(tmp_path):
         assert _digests(out, ("hedge.json",)) == {"hedge.json": digest}, option
 
 
+def test_cli_hedge_overflow_exits_3_and_writes_nothing(tmp_path, capsys):
+    # e^300 forecasts square past the largest float: se is inf at mu 300, and
+    # every score is nan at mu 800, where the forecasts themselves overflow
+    for option, mu_mean, what in ((5, "300", "se is inf"), (1, "800", "mean_score is nan")):
+        argv = ["hedge", "--option", str(option), "--mu-mean", mu_mean]
+        assert main([*argv, "--out", str(tmp_path / "x")]) == 3
+        err = capsys.readouterr().err
+        assert err == f"numeric error: hedging strategy honest: {what}\n"
+    assert not list(tmp_path.glob("*.hedge.json"))
+
+
 def test_cli_validate_partition_exit_codes(tmp_path, capsys):
     good = tmp_path / "good.json"
     good.write_text(json.dumps({"cutpoints": [0.0]}))
@@ -1174,8 +1185,24 @@ def test_only_io_opens_files_or_imports_csv_and_json():
     assert hits == []
 
 
+def test_no_module_imports_scipy():
+    # the runtime is numpy only; scipy serves the tests as an independent oracle
+    hits = []
+    for path in sorted(Path(veriscore.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            for name in names:
+                if name.split(".")[0] == "scipy":
+                    hits.append(f"{path.name}:{node.lineno}: import {name}")
+    assert hits == []
+
+
 def test_cli_import_loads_no_scipy():
-    # scipy is imported only inside the functions that use it
     code = (
         "import sys, veriscore.cli; "
         "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
@@ -1189,12 +1216,15 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_functional_value_loads_no_scipy():
-    # functional values are exact integer arithmetic, with no scipy solver
+    # functional values are exact integer arithmetic, with no scipy solver, and
+    # the hedging tail means take the normal tail from math.erfc
     code = (
         "import sys, veriscore as v; "
         "d = v.DiscreteDistribution([0.0, 1.0, 5.0], [0.2, 0.5, 0.3]); "
         "[v.functional_value(s, d) for s in "
         "(v.quantile_score(0.3), v.expectile_score(0.3), v.huber_loss(1.0))]; "
+        "[v.simulate_hedging(o, n=500) for o in range(1, 6)]; "
+        "v.lognormal_tail_mean(1.5, 0.4, 20.0); "
         "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     )
     src = str(Path(veriscore.__file__).parent.parent)
