@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import re
 import sys
 from pathlib import Path
@@ -415,6 +416,8 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
+    if argv is None:  # the program: the collection at exit skips start-up objects
+        gc.freeze()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = build_parser().parse_args(_attach_negative_values(argv))

@@ -5,12 +5,13 @@ A ``CaseSet`` holds one forecast system's cases as aligned arrays:
 
 Every file the package reads or writes goes through this module.  All
 numeric output has 12 significant digits (``fmt12``).  One table writer
-serves ``write_scores_csv``, the case writers and the Murphy curve: it
-formats each block of rows with one ``%`` template, parses the cells
-back in C and quotes as ``csv.writer`` does.  The summary means that
-``write_scores_csv`` returns come from those written cells, so a
-summary recomputed from a written per-case file reproduces it bit for
-bit.  Output never embeds timestamps or environment details; identical
+serves ``write_scores_csv``, the case writers and the Murphy curve: in
+each block of rows it writes a ``+0.0`` cell as ``0``, lets a repeat of
+the row's first cell reuse that cell's text, formats the other cells
+with one ``%`` call, parses them back in C and quotes as ``csv.writer``
+does.  The summary means that ``write_scores_csv`` returns come from
+those written cells, so a summary recomputed from a written per-case
+file reproduces it bit for bit.  Output never embeds timestamps or environment details; identical
 inputs give byte-identical files.
 
 CSV schemas
@@ -35,11 +36,12 @@ All three share one reader: the header must match exactly (a UTF-8
 byte order mark is ignored), blank lines are skipped, case ids must be
 non-empty and unique, every value must be a finite number, and errors
 cite the file and physical line.  numpy's C text reader parses the
-body first; a file it refuses, or one that fails a check, is read
-again row by row with ``csv.reader`` and ``float``, which accept the
-same syntax and word the errors.  ``CaseSet`` and ``EnsembleSet`` take
-a read table as it is: ``_check_cases`` has checked it once; built
-directly, they strip each id first, as the reader does.
+body first, reading the file by its path when it holds no CR byte; a
+file it refuses, or one that fails a check, is read again row by row
+with ``csv.reader`` and ``float``, which accept the same syntax and
+word the errors.  ``CaseSet`` and ``EnsembleSet`` take a read table
+as it is: ``_check_cases`` has checked it once; built directly, they
+strip each id first, as the reader does.
 
 JSON
 ----
@@ -51,8 +53,8 @@ order with indent 2 and rejects NaN and infinities.
 from __future__ import annotations
 
 import csv
-import io
 import json
+import os
 import re
 from array import array
 from contextlib import suppress
@@ -134,29 +136,46 @@ _SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 def _load_body(path, columns: list[str], members: bool):
     """The body as numpy's C reader parses it: a structured array of
-    ids and value rows, or None for a file it refuses."""
+    ids and value rows, or None for a file it refuses.
+
+    Given a path, numpy reads the file in C, but with universal
+    newlines, which turn a quoted id's CR into LF; so a file holding a
+    CR byte (as every written file does), or one whose suffix numpy
+    would decompress, is fed to it line by line.
+    """
     try:
+        cr = False
         with open(path, "rb") as fh:
             for block in iter(partial(fh.read, 1 << 20), b""):
                 if any(sep in block for sep in _SEPARATORS):
                     return None
+                cr = cr or b"\r" in block
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            header = [h.strip() for h in next(csv.reader(fh))]
+            reader = csv.reader(fh)
+            header = [h.strip() for h in next(reader)]
             if members:
                 k = max(len(header) - len(columns), 1)
                 columns = columns + [f"m{i}" for i in range(1, k + 1)]
             if header != columns:
                 return None
+            skip = reader.line_num  # physical lines before the first row
             for line in fh:  # numpy warns on a body without data
                 if line.strip():
+                    # absolute, so that numpy never takes the name for a URL
+                    body = os.path.join(os.getcwd(), os.fsdecode(path))
+                    if cr or body.endswith((".gz", ".bz2", ".xz", ".lzma")):
+                        body, skip = chain((line,), fh), 0
                     return np.loadtxt(
-                        chain((line,), fh),
+                        body,
                         dtype=[("id", object), ("v", float, (len(columns) - 1,))],
                         delimiter=",",
                         quotechar='"',
                         comments=None,
+                        skiprows=skip,
+                        encoding="utf-8-sig",
                         ndmin=1,
                     )
+                skip += 1
     except (OSError, StopIteration, ValueError, csv.Error):
         pass  # ValueError includes UnicodeDecodeError
     return None
@@ -303,11 +322,14 @@ def _fields(values) -> list[str]:
 def _write_table(path, header: list[str], keys, columns) -> np.ndarray:
     """One row per key: the key, then each column's value (``fmt12``).
 
-    ``WRITE_BLOCK_ROWS`` rows at a time, one ``%`` call formats a block
-    as lines of ``%.12g`` cells (``fmt12``'s conversion) and numpy's C
-    parser reads them back (rounding as ``float``).  A row is its key
-    quoted by ``_fields``, a comma, its line and CRLF, as ``csv.writer``
-    writes it.  Returns the written cells read back, one row per column.
+    ``WRITE_BLOCK_ROWS`` rows at a time.  A ``+0.0`` cell is written
+    ``0``, and a nonzero cell equal to its row's first cell reuses that
+    cell's text.  One ``%`` call formats the other cells of a block as
+    ``%.12g`` (``fmt12``'s conversion) and numpy's C parser reads them
+    back (rounding as ``float``).  A row is its key quoted by
+    ``_fields`` and its cells, joined by commas and ended by CRLF, as
+    ``csv.writer`` writes it.  Returns the written cells read back, one
+    row per column.
     """
     if len(header) < 2:
         raise ValidationError("a table needs at least one value column")
@@ -319,15 +341,24 @@ def _write_table(path, header: list[str], keys, columns) -> np.ndarray:
                 f"column {name!r} has shape {col.shape}, expected ({len(keys)},)"
             )
         row[:] = col
-    line = ",".join(["%.12g"] * len(matrix)) + "\n"
+    line = ",".join(["%s"] * len(header)) + "\r\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(_fields(header)) + "\r\n")
         for start in range(0, len(keys), WRITE_BLOCK_ROWS):
             block = matrix[:, start : start + WRITE_BLOCK_ROWS]
-            text = (line * block.shape[1]) % tuple(block.T.ravel().tolist())
-            block[:] = np.loadtxt(io.StringIO(text), delimiter=",", ndmin=2).T
-            rows = zip(_fields(keys[start : start + WRITE_BLOCK_ROWS]), text.split("\n"))
-            fh.write("".join(f"{key},{values}\r\n" for key, values in rows))
+            cells = np.full((len(header), block.shape[1]), "0", dtype=object)
+            cells[0] = _fields(keys[start : start + WRITE_BLOCK_ROWS])
+            # -0.0 == 0.0, so a zero is never a repeat and -0.0 is formatted
+            same = (block == block[0]) & (block != 0.0)
+            same[0] = False
+            fresh = ~same & ((block != 0.0) | np.signbit(block))
+            if fresh.any():
+                text = ("%.12g," * fresh.sum()) % tuple(block[fresh].tolist())
+                cells[1:][fresh] = text.split(",")[:-1]
+                block[fresh] = np.loadtxt([text[:-1]], delimiter=",", ndmin=1)
+            np.copyto(cells[1:], cells[1], where=same)
+            np.copyto(block, block[0], where=same)
+            fh.write((line * block.shape[1]) % tuple(cells.T.ravel().tolist()))
     return matrix
 
 

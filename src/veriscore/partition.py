@@ -278,7 +278,10 @@ class WeightFunction:
             a = np.minimum(np.maximum(p, lo), hi)
             b = np.minimum(np.maximum(q, lo), hi)
             h = b - a
-            cm = 0.5 * (a + b)
+            if k == 0 and not s:
+                out += h * v0  # needs no midpoint
+                continue
+            cm = 0.5 * a + 0.5 * b  # a + b can pass the largest float
             vm = v0 + s * (cm - lo) if s else v0
             if k == 0:
                 out += h * vm

@@ -280,3 +280,20 @@ def test_default_anchor_finite_for_unbounded_weight():
     assert r.anchor == 0.0
     r2 = RegionGenerator(squared_error(), RectangularWeight(2.0, np.inf))
     assert r2.anchor == 2.0
+
+
+def test_components_stay_zero_where_segment_ends_sum_past_the_largest_float():
+    # a segment clipped to [a, b] near +-1e308 has a + b beyond the largest
+    # float; its midpoint must stay finite, so an empty segment adds 0.0
+    comps = score_components(decompose(squared_error(), rectangular_partition([1e308])), [1.0], [2.0])
+    assert comps.tolist() == [[1.0], [0.0]]
+    x = np.array([-3.0, 0.0, 2.5, 1e6, -1e300])
+    y = np.array([-3.0, 1.0, -2.5, -1e6, -1e300])
+    for spec in (squared_error(), quantile_score(0.3), expectile_score(0.8), huber_loss(5.0)):
+        for partition in (
+            rectangular_partition([-1e308, 1e308]),
+            trapezoidal_partition([(-1e308, -1e307), (1e307, 1e308)]),
+        ):
+            comps = score_components(decompose(spec, partition), x, y)
+            assert comps[0].tolist() == comps[2].tolist() == [0.0] * 5
+            np.testing.assert_allclose(comps[1], score(spec, x, y), rtol=1e-15, atol=0)

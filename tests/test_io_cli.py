@@ -225,6 +225,62 @@ def test_table_reader_matches_the_row_reader_on_a_corpus(tmp_path):
                 assert fast == rows, text
 
 
+def test_table_reader_matches_the_row_reader_where_a_path_read_could_differ(tmp_path):
+    # numpy reads a file without CR bytes by its path, with universal newlines
+    # and by suffix, decompressing; these inputs are where that could show
+    for columns, members, header in SCHEMAS:
+        width = header.count(",")
+        name = header.split(",")[1]
+
+        def row(case_id, value="1"):
+            return ",".join([case_id, *(value,) * width])
+
+        headers = [header, header.replace(name, f'"{name}\n"', 1)]  # two lines
+        bodies = [
+            [row('"p\rq"'), row("b")],
+            [row('"p\r\nq"'), row("b")],
+            [row('"p\nq"'), row('"r\n\ns"', "2"), row("b")],
+            ["", "", row("a"), row("b")],
+            ["   ", "", row('"x\ny"'), row("b")],
+            [" , ,", row("a")],
+            ["", "   "],
+        ]
+        cases = itertools.product(
+            headers, bodies, ("", "\ufeff"), ("\n", "\r\n"), ("c.csv", "c.csv.gz", "c.csv.xz")
+        )
+        for head, body, bom, end, file in cases:
+            p = tmp_path / file
+            p.write_bytes((bom + end.join([head, *body]) + end).encode("utf-8"))
+            fast, rows = _both_readers(p, columns, members)
+            assert fast == rows, (file, head, body, bom, end)
+
+
+def test_a_file_without_cr_bytes_reaches_numpy_by_its_path(tmp_path, monkeypatch):
+    seen = []
+    loadtxt = np.loadtxt
+
+    def spy(fname, *args, **kwargs):
+        seen.append(fname)
+        return loadtxt(fname, *args, **kwargs)
+
+    def refuse(*args):
+        raise AssertionError("read by the row reader")
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    monkeypatch.setattr(veriscore.io, "_read_rows", refuse)
+    # a BOM, a header on two lines, blank lines and an id on two lines
+    p = tmp_path / "c.csv"
+    p.write_bytes(b'\xef\xbb\xbfcase_id,"forecast\n",obs\n\n   \n"a\nb",1,2\nc,3,4\n')
+    got = read_cases_csv(p)
+    assert got.ids == ("a\nb", "c") and got.forecasts.tolist() == [1.0, 3.0]
+    assert len(seen) == 1 and isinstance(seen[0], str) and os.path.samefile(seen[0], p)
+    # the writer's CRLF files are fed to numpy line by line
+    write_cases_csv(got, p)
+    seen.clear()
+    assert read_cases_csv(p).ids == got.ids
+    assert len(seen) == 1 and not isinstance(seen[0], str)
+
+
 @st.composite
 def _csv_texts(draw):
     columns, members, header = draw(st.sampled_from(SCHEMAS))
@@ -446,6 +502,66 @@ def test_table_writer_quotes_keys_as_csv_writer_does(tmp_path):
     assert back.tolist() == [list(range(8))]
     with pytest.raises(ValidationError, match="at least one value column"):
         veriscore.io._write_table(tmp_path / "t.csv", ["key"], keys, [])
+
+
+def _written_rows():
+    """Rows of every width from 1 to 4 whose cells are zeros of either
+    sign, repeats of the row's first cell, or values at the format's
+    edges, in the mixes the table writer treats apart."""
+    rows = {
+        1: [[0.0], [-0.0], [5e-324], [float("inf")], [1.5]],
+        3: [
+            [0.0, -0.0, 0.0], [-0.0, 0.0, -0.0], [-0.0, -0.0, 1.0],  # zeros of either sign
+            [0.0, 0.0, -0.0], [0.0, 2.5, -0.0], [-0.0, 2.5, 0.0],  # a first cell of +-0.0
+            [2.5, 2.5, 2.5], [-1 / 3, -1 / 3, 7.0], [1e12, 0.0, 1e12],  # repeats
+            [5e-324, 5e-324, -5e-324], [1e-310, 0.0, 1e-310],  # subnormals
+            [float("inf"), float("inf"), float("-inf")], [float("-inf"), -0.0, 1.0],
+        ],
+    }
+    rng = np.random.default_rng(27)
+    pool = [0.0, -0.0, 5e-324, -1e-310, float("inf"), float("-inf"), 1 / 3, -2.5, 1e12]
+    for width in (1, 2, 3, 4):
+        for _ in range(40):
+            first = pool[rng.integers(len(pool))]
+            row = [first]
+            for _ in range(width - 1):
+                pick = rng.integers(4)
+                row.append((first, 0.0, -0.0, pool[rng.integers(len(pool))])[pick])
+            rows.setdefault(width, []).append(row)
+    return rows
+
+
+def test_table_writer_reuses_zero_and_repeated_texts_exactly(tmp_path, monkeypatch):
+    # a +0.0 cell is written "0" and a repeat of the row's first cell reuses
+    # its text; the bytes and the cells read back must not show it
+    for width, rows in _written_rows().items():
+        header = ["case_id"] + [f"v{j}" for j in range(width)]
+        keys = [f"c{i}" for i in range(len(rows))]
+        columns = np.array(rows).T
+        want, floats = _reference_table(header, keys, columns)
+        for block in (1, 3, 7, veriscore.io.WRITE_BLOCK_ROWS):
+            monkeypatch.setattr(veriscore.io, "WRITE_BLOCK_ROWS", block)
+            back = veriscore.io._write_table(tmp_path / "t.csv", header, keys, columns)
+            assert (tmp_path / "t.csv").read_bytes() == want, (width, block)
+            assert back.tobytes() == np.array(floats).tobytes(), (width, block)
+
+
+def test_table_writer_reuses_texts_across_default_blocks(tmp_path):
+    # rows on both sides of a block boundary at the default block size
+    n = veriscore.io.WRITE_BLOCK_ROWS + 5
+    rng = np.random.default_rng(28)
+    total = rng.normal(0.0, 10.0, n)
+    total[::3] = 0.0
+    parts = np.where(rng.random((3, n)) < 0.5, 0.0, total)  # 0.0 or the total
+    parts[1, ::7] = -0.0
+    parts[2, ::5] = rng.normal(0.0, 1.0, n)[::5]
+    columns = [total, *parts]
+    header = ["case_id", "total", "a", "b", "c"]
+    keys = [f"c{i}" for i in range(n)]
+    want, floats = _reference_table(header, keys, columns)
+    back = veriscore.io._write_table(tmp_path / "t.csv", header, keys, columns)
+    assert (tmp_path / "t.csv").read_bytes() == want
+    assert back.tobytes() == np.array(floats).tobytes()
 
 
 def test_write_json_layout(tmp_path):
@@ -1247,3 +1363,68 @@ def test_cli_import_loads_no_queue_or_futures():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_only_the_program_freezes_the_start_up_objects(tmp_path):
+    # importing veriscore and calling main(argv) in process freeze nothing
+    part = tmp_path / "part.json"
+    part.write_text('{"cutpoints": [0]}')
+    code = (
+        "import gc, sys; import veriscore; a = gc.get_freeze_count(); "
+        "import veriscore.cli; b = gc.get_freeze_count(); "
+        f"code = veriscore.cli.main(['validate-partition', '--partition', {str(part)!r}]); "
+        "print(a, b, gc.get_freeze_count(), code)"
+    )
+    src = str(Path(veriscore.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.split()[-4:] == ["0", "0", "0", "0"]
+    # run as a program, it freezes them before the subcommand runs
+    code = (
+        "import atexit, gc, runpy, sys; "
+        "atexit.register(lambda: print(gc.get_freeze_count() > 0)); "
+        f"sys.argv = ['veriscore', 'validate-partition', '--partition', {str(part)!r}]; "
+        "runpy.run_module('veriscore.cli', run_name='__main__')"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0 and out.stdout.splitlines()[-1] == "True", out.stderr
+
+
+def test_gc_freeze_is_called_in_one_place():
+    hits = []
+    for path in sorted(Path(veriscore.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "freeze":
+                hits.append(f"{path.name}:{ast.unparse(node)}")
+    assert hits == ["cli.py:gc.freeze()"]
+
+
+def test_the_program_exits_2_and_3_with_its_message_and_no_file(tmp_path):
+    (tmp_path / "bad.csv").write_text("case_id,forecast,obs\nc1,x,0\n")
+    (tmp_path / "big.csv").write_text("case_id,forecast,obs\nc1,1e200,0\n")
+    src = str(Path(veriscore.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    spec = ["--functional", "expectile", "--alpha", "0.5"]
+    for name, code, message in (
+        ("bad.csv", 2, "error: bad.csv:2: forecast value 'x' is not a number"),
+        ("big.csv", 3, "numeric error: case c1: "),
+    ):
+        argv = ["score", *spec, "--input", name, "--out", "out"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "veriscore.cli", *argv],
+            capture_output=True, text=True, env=env, cwd=tmp_path,
+        )
+        assert proc.returncode == code, proc.stderr
+        assert proc.stderr.startswith(message) and len(proc.stderr.splitlines()) == 1
+        assert not list(tmp_path.glob("out*"))
+
+
+def test_cli_hedge_at_the_largest_threshold_scores_zero(tmp_path, capsys):
+    # the upper region starts beyond every event, so every component is 0
+    out = tmp_path / "h"
+    assert main(["hedge", "--option", "5", "--threshold", "1e308", "--out", str(out)]) == 0
+    report = json.loads((tmp_path / "h.hedge.json").read_text())
+    rows = [report["honest"], *report["strategies"]]
+    assert [(r["n_assessed"], r["mean_score"], r["gain"]) for r in rows] == [(8000, 0.0, 0.0)] * 4
