@@ -25,7 +25,8 @@ from them carry 12 significant digits (echoed settings keep full
 precision); summaries are computed from the rounded per-case values,
 so re-deriving a summary from a written cases file reproduces it exactly.
 A short human-readable summary is printed to stdout; the means it
-prints are the summary's means, to two decimals.
+prints are the summary's means, to two decimals (six significant digits
+from 1e15 on, so that no line runs long).
 
 Exit codes: 0 on success, 2 for invalid inputs or configuration, 3
 when numerical integration cannot reach its accuracy target or a score
@@ -56,6 +57,7 @@ from .evaluation import (
     simulate_hedging,
 )
 from .io import (
+    _fmt2,
     read_cases_csv,
     read_json,
     read_paired_csv,
@@ -188,9 +190,9 @@ def _write_scores(out, ids, score_echo, partition, totals, comps) -> int:
         "mean": {"total": total, "components": None if comps is None else components},
     }
     write_json(summary, f"{out}.summary.json")
-    print(f"{len(ids)} cases, mean score {total:.2f}")
+    print(f"{len(ids)} cases, mean score {_fmt2(total)}")
     if comps is not None:
-        print("  ".join(f"component {j}: {c:.2f}" for j, c in enumerate(components)))
+        print("  ".join(f"component {j}: {_fmt2(c)}" for j, c in enumerate(components)))
     print(f"wrote {out}.cases.csv and {out}.summary.json")
     return 0
 
@@ -245,10 +247,10 @@ def _cmd_murphy(args) -> int:
     write_murphy_meta(curve, f"{out}.murphy.json")
     print(
         f"murphy curve: {len(curve.thresholds)} thresholds in "
-        f"[{curve.thresholds[0]:.2f}, {curve.thresholds[-1]:.2f}]"
+        f"[{_fmt2(curve.thresholds[0])}, {_fmt2(curve.thresholds[-1])}]"
     )
     for i, name in enumerate(curve.names):
-        print(f"  {name}: grid-average elementary score {curve.means[i].mean():.2f}")
+        print(f"  {name}: grid-average elementary score {_fmt2(curve.means[i].mean())}")
     print(f"wrote {out}.murphy.csv and {out}.murphy.json")
     return 0
 

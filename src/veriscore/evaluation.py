@@ -40,7 +40,7 @@ import numpy as np
 from .decomposition import RegionGenerator, decompose, score_components
 from .errors import NumericError, ValidationError
 from .exact import as_int, slices
-from .io import CaseSet, round12
+from .io import CaseSet, _fmt2, round12
 from .partition import PartitionOfUnity, RectangularWeight, partition_config
 from .scoring import ScoringSpec, score, squared_error
 
@@ -215,16 +215,16 @@ class ComparisonReport:
         diff, ci = d["difference"], d["ci"]
         lines = [
             f"n={d['n']} paired cases, score {d['score']}",
-            f"mean {self.label_a}: {d['means'][self.label_a]['total']:.2f}   "
-            f"mean {self.label_b}: {d['means'][self.label_b]['total']:.2f}   "
-            f"diff: {diff['total']:.2f}",
+            f"mean {self.label_a}: {_fmt2(d['means'][self.label_a]['total'])}   "
+            f"mean {self.label_b}: {_fmt2(d['means'][self.label_b]['total'])}   "
+            f"diff: {_fmt2(diff['total'])}",
             f"{int(self.ci_level * 100)}% CI ({self.ci_method}) for diff: "
-            f"[{ci['total'][0]:.2f}, {ci['total'][1]:.2f}]",
+            f"[{_fmt2(ci['total'][0])}, {_fmt2(ci['total'][1])}]",
         ]
         if diff["components"] is not None:
             for j, (dj, (lo, hi)) in enumerate(zip(diff["components"], ci["components"])):
                 lines.append(
-                    f"  component {j}: diff {dj:.2f}  CI [{lo:.2f}, {hi:.2f}]"
+                    f"  component {j}: diff {_fmt2(dj)}  CI [{_fmt2(lo)}, {_fmt2(hi)}]"
                 )
         return lines
 
@@ -259,7 +259,7 @@ def _align(cases_a: CaseSet, cases_b: CaseSet) -> CaseSet:
     return aligned
 
 
-BOOTSTRAP_CHUNK_BYTES = 40 << 20  # resample counts of one chunk plus two groups of draws
+BOOTSTRAP_CHUNK_BYTES = 16 << 20  # counts of one chunk plus two groups of draws, past the stack
 
 
 def _normal_ci(rows: np.ndarray, means: np.ndarray):
@@ -322,16 +322,21 @@ def _resample_means(rows: np.ndarray, samples: int, rng: np.random.Generator):
     (``_index_draws``) while this one counts and multiplies.  One
     (g, n) draw equals g draws of size n, in int32 as in int64, so the
     means depend neither on that thread nor on BOOTSTRAP_CHUNK_BYTES.
-    That budget bounds the float counts of one chunk and the two groups
-    of int32 draws together; a group takes at most an eighth of it.
+
+    Memory past the rows is the slice stack (levels x m x n floats, built
+    once by ``slices``) plus what BOOTSTRAP_CHUNK_BYTES bounds: the float
+    counts of one chunk and two groups of int32 draws, a group taking at
+    most a twentieth of it.  A chunk has at least four count rows, as each
+    product reads the whole stack once: at 1e6 cases, where the budget
+    holds a single row, a product per resample is bound by that reading.
     """
     m, n = rows.shape
     q, exps = slices(rows, n)
     q = q.reshape(-1, n)
     unit = min([0] + exps)
-    group = max(1, BOOTSTRAP_CHUNK_BYTES // (32 * n))
+    group = max(1, BOOTSTRAP_CHUNK_BYTES // (80 * n))
     # two groups of int32 draws take the bytes of `group` float count rows
-    counts = np.empty((max(1, min(samples, BOOTSTRAP_CHUNK_BYTES // (8 * n) - group)), n))
+    counts = np.empty((min(samples, max(4, BOOTSTRAP_CHUNK_BYTES // (8 * n) - group)), n))
     means = np.empty((samples, m))
     with closing(_index_draws(rng, n, samples, group)) as draws:
         for done in range(0, samples, len(counts)):
@@ -581,14 +586,14 @@ class HedgingReport:
         honest = d["honest"]
         lines = [
             f"option {d['option']}: {d['note']}",
-            f"events: {d['n_events']}, threshold: {d['threshold']:.2f}",
-            f"honest mean score: {honest['mean_score']:.2f} "
+            f"events: {d['n_events']}, threshold: {_fmt2(d['threshold'])}",
+            f"honest mean score: {_fmt2(honest['mean_score'])} "
             f"over {honest['n_assessed']} assessed",
         ]
         for s in d["strategies"]:
             lines.append(
-                f"  {s['name']}: mean {s['mean_score']:.2f} over {s['n_assessed']} "
-                f"assessed, gain {s['gain']:.2f} (se {s['gain_se']:.2f})"
+                f"  {s['name']}: mean {_fmt2(s['mean_score'])} over {s['n_assessed']} "
+                f"assessed, gain {_fmt2(s['gain'])} (se {_fmt2(s['gain_se'])})"
             )
         return lines
 

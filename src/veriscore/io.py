@@ -86,6 +86,11 @@ def fmt12(x) -> str:
     return f"{float(x):.12g}"
 
 
+def _fmt2(x) -> str:
+    """A number for stdout: two decimals, or six significant digits from 1e15 on."""
+    return f"{x:.2f}" if abs(x) < 1e15 else f"{x:.6g}"
+
+
 def round12(x) -> float:
     """Nearest float to the 12-significant-digit decimal of x."""
     return float(fmt12(x))

@@ -156,7 +156,7 @@ def test_bootstrap_bounds_do_not_depend_on_the_chunk_budget(monkeypatch):
         return np.vstack([rep.ci_total, rep.ci_components]).tobytes()
 
     default = bounds()  # every resample in one chunk
-    for budget in (1, 4 * 8 * n):  # chunks of 1 and of 3 resamples
+    for budget in (1, 8 * 8 * n):  # chunks of 4 (the fewest) and of 7 resamples
         monkeypatch.setattr(evaluation, "BOOTSTRAP_CHUNK_BYTES", budget)
         assert bounds() == default
 
@@ -181,7 +181,7 @@ def test_bootstrap_draw_errors_reach_the_caller_and_the_worker_is_joined(monkeyp
     a, b = _cases(ids, y + 1.0, y), _cases(ids, y - 2.0, y)
     threads = threading.active_count()
     # 60 resamples in one draw call, in 15 calls of 4, and in 60 calls of 1
-    for budget, calls in ((evaluation.BOOTSTRAP_CHUNK_BYTES, 1), (136 * n, 15), (1, 60)):
+    for budget, calls in ((evaluation.BOOTSTRAP_CHUNK_BYTES, 1), (320 * n, 15), (1, 60)):
         monkeypatch.setattr(evaluation, "BOOTSTRAP_CHUNK_BYTES", budget)
         for k in sorted({1, min(2, calls), calls}):
             monkeypatch.setattr(evaluation, "stream_rng", lambda *args, k=k: _FailingRng(k))
@@ -190,7 +190,7 @@ def test_bootstrap_draw_errors_reach_the_caller_and_the_worker_is_joined(monkeyp
                     a, b, squared_error(), SPLIT_AT_TEN, ci="bootstrap", bootstrap_samples=60
                 )
             assert threading.active_count() == threads
-    # an error on the caller's side, after the first chunk of one resample,
+    # an error on the caller's side, after the first chunk of four resamples,
     # stops and joins the worker too
     monkeypatch.setattr(evaluation, "BOOTSTRAP_CHUNK_BYTES", 1)
     monkeypatch.setattr(evaluation, "slices", lambda rows, n: (np.zeros((1, 2, n)), [0]))

@@ -1428,3 +1428,19 @@ def test_cli_hedge_at_the_largest_threshold_scores_zero(tmp_path, capsys):
     report = json.loads((tmp_path / "h.hedge.json").read_text())
     rows = [report["honest"], *report["strategies"]]
     assert [(r["n_assessed"], r["mean_score"], r["gain"]) for r in rows] == [(8000, 0.0, 0.0)] * 4
+
+
+def test_cli_stdout_numbers_keep_lines_short(tmp_path, capsys, monkeypatch):
+    # two decimals below 1e15 in magnitude, six significant digits beyond
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "big.csv").write_text("case_id,forecast,obs\nc1,-1e308,0\nc2,1e308,1\n")
+    runs = [
+        ["murphy", "--functional", f, "--alpha", "0.5", "--inputs", "big.csv", "--grid", "5"]
+        for f in ("quantile", "expectile")
+    ]
+    runs.append(["hedge", "--option", "5", "--threshold", "1e308"])
+    for argv in runs:
+        assert main([*argv, "--out", "o"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines and max(map(len, lines)) <= 120, lines
+    assert "events: 8000, threshold: 1e+308" in lines
