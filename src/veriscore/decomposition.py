@@ -36,12 +36,14 @@ integrals signed and taken from y:
 and the anchored generators are such integrals over [u_j, u] centred
 at u.  ``RegionGenerator`` therefore needs one moment provider: the
 signed integral of rho_j(t) * (t - y)**k, k = 0 or 1, between offsets
-from y, chosen once from its inputs.  When the weight has exact
+from y, chosen once from its inputs.  When the weight supplies its own
 moments and the generator's density is a constant c (``deriv_const``,
 all built-in generators), the provider is c times
-``WeightFunction.moment``, taken in coordinates local to y: exact to
-rounding at any magnitude, and exactly zero for forecast and
-observation on the same side outside the weight's support.
+``WeightFunction.moment``, taken in coordinates local to y.  For table
+weights that is exact to rounding at any magnitude, and exactly zero
+for forecast and observation on the same side outside the weight's
+support; the arctan pair integrates itself with ``gauss_kronrod`` in
+coordinates centred on its own centre.
 
 Otherwise the provider is :func:`veriscore.quadrature.gauss_kronrod`
 of rho_j(y + u) * u**k over u, with rho_j = ``GeneratorSpec.density``

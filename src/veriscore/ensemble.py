@@ -10,8 +10,8 @@ a finite exact sum over those segments (Hersbach, Wea. Forecasting
 Weighting the integrand by the members of a partition of unity splits
 the CRPS into per-region components that sum back to the total
 (Gneiting & Ranjan, JBES 2011).  The region integrals of each weight
-are ``WeightFunction.integral``: exact for the piecewise-linear and
-arctan weight kinds, and for normalized weights one vectorized
+are ``WeightFunction.integral``: exact for the piecewise-linear weight
+kinds, and for the arctan pair and normalized weights one vectorized
 Gauss–Kronrod pass over all segments (``veriscore.quadrature``).
 
 ``crps`` scores one ``EmpiricalCDF`` or an ``EnsembleSet`` (n cases of

@@ -39,10 +39,11 @@ local to y and no term of order y**2 is ever formed.  This is the
 convention of :func:`veriscore.quadrature.gauss_kronrod` and of
 :func:`veriscore.scoring.moment_score`.  A call forms only the moment
 it is asked for.  The table integrates each linear segment about its
-midpoint, so its moments are exact to rounding at any magnitude; the
-arctan pair has exact moments as well.  Normalized and custom weights
-get theirs from ``gauss_kronrod``, vectorized over all intervals at
-once and cut at ``finite_knots()``.
+midpoint, so its moments are exact to rounding at any magnitude.  Every
+other weight gets its moments from ``gauss_kronrod``, vectorized over
+all intervals at once and cut at ``finite_knots()``: the arctan pair in
+its own coordinate s = t - center, where it is written without
+cancellation in either tail, and normalized and custom weights in t.
 
 Configuration files
 -------------------
@@ -163,6 +164,8 @@ REAL_LINE = IntervalDomain()
 
 def _as_float(x, field: str) -> float:
     try:
+        if isinstance(x, (bool, np.bool_)):
+            raise TypeError
         v = float(x)
     except (TypeError, ValueError):
         raise ValidationError(f"{field}: expected a number, got {x!r}") from None
@@ -186,10 +189,12 @@ class WeightFunction:
     their parameters and build it; ``_fields`` names the parameters that
     ``config()`` echoes.  A subclass that builds no table keeps
     ``bounds = None`` and implements ``__call__`` (and ``support`` where
-    it is narrower than the real line).  It has no exact moments, so its
-    ``moment`` and the scores built on it come from quadrature, and no
+    it is narrower than the real line).  Its ``moment`` and the scores
+    built on it come from quadrature of ``__call__``, and it has no
     ``config()`` form, unless it supplies its own ``moment`` and
-    ``config``, as the arctan pair does.
+    ``config``, as the arctan pair does.  ``has_exact_integrals`` says
+    that a weight supplies its own moments, so a score component takes
+    them as they are.
 
     ``moment(k, p, q, y)`` (see the module docstring) integrates the
     table segment by segment.  A segment where the weight is zero adds
@@ -216,6 +221,9 @@ class WeightFunction:
         self._slope0 = np.concatenate([[0.0], self.slope, [0.0]])
         self._ramps = bool(np.any(self.slope))
         self._edges = np.concatenate([[-_INF], self.bounds, [_INF]])
+        # whether some finite y shifts a bound past the largest float
+        with np.errstate(over="ignore"):
+            self._far = bool(np.isinf(np.abs(self.bounds) + _MAX).any())
 
     def _params(self):
         # constructor arguments, arrays as lists
@@ -274,7 +282,13 @@ class WeightFunction:
         for v0, s, lo, hi in segments:
             if v0 == 0.0 and s == 0.0:
                 continue  # a zero segment adds exactly 0.0
-            lo, hi = lo - y, hi - y
+            if s or not self._far:
+                lo, hi = lo - y, hi - y
+            else:
+                # a shifted edge past the largest float is held at it, so a
+                # step that lies wholly beyond it has h = 0, not inf - inf
+                with np.errstate(over="ignore"):
+                    lo, hi = np.minimum(lo - y, _MAX), np.maximum(hi - y, -_MAX)
             a = np.minimum(np.maximum(p, lo), hi)
             b = np.minimum(np.maximum(q, lo), hi)
             h = b - a
@@ -398,47 +412,11 @@ class TabulatedWeight(WeightFunction):
         super().__init__(bp, v[:-1], np.diff(v) / np.diff(bp), v[0], v[-1])
 
 
-def _arctan_primitive(s):
-    # a primitive of 1/2 + arctan(s)/pi in the shifted variable s
-    return 0.5 * s + (s * np.arctan(s) - 0.5 * np.log1p(s * s)) / np.pi
-
-
-def _arctan_primitive2(s):
-    # a primitive of _arctan_primitive
-    p2 = 0.5 * (s * s - 1.0) * np.arctan(s) + 0.5 * s - 0.5 * s * np.log1p(s * s)
-    return 0.25 * s * s + p2 / np.pi
-
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
-
-
-def _arctan_upper_moment(k, p, q, sigma):
-    # k-th moment of 1/2 + arctan(s)/pi, s = sigma + u, over u in [p, q]: an
-    # 8-point Gauss-Legendre rule when the span is small against its
-    # distance from s = 0 (the weight is then nearly linear on it, and the
-    # primitives would cancel), the difference of primitives otherwise
-    sa, sb = sigma + p, sigma + q
-    dist = np.where(sa * sb > 0.0, np.minimum(np.abs(sa), np.abs(sb)), 0.0)
-    near = np.abs(q - p) <= 1e-3 * np.maximum(1.0, dist)
-    half = 0.5 * (q - p)
-    u = (p + half)[..., None] + half[..., None] * _GL_NODES
-    # arctan2(1, -s) / pi is the upper weight without cancellation in its tail
-    f = _GL_WEIGHTS * np.arctan2(1.0, -(sigma[..., None] + u)) / np.pi
-    a1, b1 = _arctan_primitive(sa), _arctan_primitive(sb)
-    if k == 0:
-        return np.where(near, half * f.sum(-1), b1 - a1)
-    return np.where(
-        near,
-        half * (f * u).sum(-1),
-        q * b1 - p * a1 - (_arctan_primitive2(sb) - _arctan_primitive2(sa)),
-    )
-
-
 class _ArctanWeight(WeightFunction):
-    # shared parts of the arctan pair, which has exact moments
+    # shared parts of the arctan pair; ``_shape(s)`` is the weight at
+    # center + s, in a form that does not cancel in either tail
     _fields = ("center",)
-    has_exact_integrals = True
-    _mirrored = False
+    has_exact_integrals = True  # supplies its own moments
 
     def __init__(self, center):
         c = _as_float(center, f"{self.kind}.center")
@@ -449,14 +427,16 @@ class _ArctanWeight(WeightFunction):
     def finite_knots(self):
         return (self.center,)
 
+    def __call__(self, t):
+        return self._shape(np.asarray(t, dtype=float) - self.center)
+
     def moment(self, k, p, q, y):
-        p, q, y = np.broadcast_arrays(p, q, y)
-        sigma = y - self.center
-        if not self._mirrored:
-            return _arctan_upper_moment(k, p, q, sigma)
-        # the lower weight at center + s is the upper one at center - s
-        m = _arctan_upper_moment(k, -q, -p, -sigma)
-        return -m if k else m
+        # quadrature in the weight's own coordinate s = y - center + u,
+        # which keeps its digits where t = y + u would not; an offset past
+        # the largest float is clipped to it, where the weight is 0 or 1
+        with np.errstate(over="ignore"):
+            sigma = np.clip(np.subtract(y, self.center), -_MAX, _MAX)
+        return gauss_kronrod(self._shape, p, q, sigma, k, (0.0,))
 
 
 class ArctanUpperWeight(_ArctanWeight):
@@ -464,20 +444,19 @@ class ArctanUpperWeight(_ArctanWeight):
 
     kind = "arctan_upper"
 
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        return 0.5 + np.arctan(t - self.center) / np.pi
+    @staticmethod
+    def _shape(s):
+        return np.arctan2(1.0, -s) / np.pi
 
 
 class ArctanLowerWeight(_ArctanWeight):
     """Complement 1/2 - arctan(t - center)/pi of the upper arctan weight."""
 
     kind = "arctan_lower"
-    _mirrored = True
 
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        return 0.5 - np.arctan(t - self.center) / np.pi
+    @staticmethod
+    def _shape(s):
+        return np.arctan2(1.0, s) / np.pi
 
 
 class NormalizedWeight(WeightFunction):

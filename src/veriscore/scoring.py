@@ -82,7 +82,8 @@ class GeneratorSpec:
     Huber generators).  ``density`` is g' or phi'': the score is a
     mixture of elementary scores with that mixing density.  When the
     density is a known constant, ``deriv_const`` records it; region
-    decompositions then have exact closed forms.
+    components then take the weight's own moments, in closed form for
+    table weights.
     """
 
     kind: str
@@ -142,6 +143,9 @@ def check_parameters(functional: str, alpha, nu) -> None:
         raise ValidationError(
             f"unknown functional {functional!r}, expected one of {FUNCTIONALS}"
         )
+    for name, v in (("alpha", alpha), ("nu", nu)):
+        if isinstance(v, (bool, np.bool_)):
+            raise ValidationError(f"{name} must be a real number, got {v!r}")
     if functional in ("quantile", "expectile"):
         if alpha is None or not 0.0 < alpha < 1.0:
             raise ValidationError(

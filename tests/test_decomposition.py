@@ -297,3 +297,19 @@ def test_components_stay_zero_where_segment_ends_sum_past_the_largest_float():
             comps = score_components(decompose(spec, partition), x, y)
             assert comps[0].tolist() == comps[2].tolist() == [0.0] * 5
             np.testing.assert_allclose(comps[1], score(spec, x, y), rtol=1e-15, atol=0)
+
+
+def test_components_stay_exact_where_a_step_edge_shifts_past_the_largest_float():
+    # knot - y beyond the largest float: a step segment wholly out there
+    # adds exactly 0.0, and the other cell holds the whole total
+    for spec, x, y in (
+        (quantile_score(0.5), -1e308, -9e307),
+        (squared_error(), -1e308, -1e308),
+        (huber_loss(2.0), -1e308, -9.9e307),
+    ):
+        comps = score_components(decompose(spec, rectangular_partition([1e308])), [x], [y])
+        assert comps[0, 0] == score(spec, x, y)
+        assert comps[1, 0] == 0.0
+        mirrored = score_components(decompose(spec, rectangular_partition([-1e308])), [-x], [-y])
+        assert mirrored[1, 0] == score(spec, -x, -y)
+        assert mirrored[0, 0] == 0.0

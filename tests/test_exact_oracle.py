@@ -29,10 +29,13 @@ import numpy as np
 from veriscore import (
     PartitionOfUnity,
     TabulatedWeight,
+    ArctanLowerWeight,
+    ArctanUpperWeight,
     arctan_pair,
     decompose,
     expectile_score,
     huber_loss,
+    normalized_partition,
     quantile_score,
     rectangular_partition,
     score,
@@ -306,3 +309,99 @@ def _check(y, delta, near_y, layout, spec):
                 assert comps[j] == 0.0
         assert abs(comps[j] - want) <= bound, (j, comps[j], want)
 
+
+
+# --- each arctan component right in its own digits ---------------------------
+
+ARCTAN_SPECS = [("quantile", 0.9), ("expectile", 0.5), ("huber_mean", 5.0)]
+
+
+def _arctan_exact(center, upper, functional, param, x, y):
+    # the component from the weight's primitives in s = t - center at 120
+    # digits: they cancel by up to about 60 digits at |s| = 1e15, which
+    # leaves far more than a double holds
+    with mpmath.workdps(120):
+        x, y, center = mpmath.mpf(x), mpmath.mpf(y), mpmath.mpf(center)
+        sign = 1 if upper else -1
+
+        def m0(s):  # a primitive of the weight
+            return s / 2 + sign * (s * mpmath.atan(s) - mpmath.log1p(s * s) / 2) / mpmath.pi
+
+        def m1(s):  # a primitive of s times the weight
+            return s * s / 4 + sign * ((s * s + 1) * mpmath.atan(s) - s) / (2 * mpmath.pi)
+
+        lo, hi = min(x, y), max(x, y)
+        if functional == "huber_mean":
+            rate, nu = mpmath.mpf(1) / 2, mpmath.mpf(param)
+        else:
+            rate, nu = abs(int(y < x) - mpmath.mpf(param)), mpmath.inf
+        cuts = sorted({lo, hi, *(k for k in (y - nu, y + nu) if lo < k < hi)})
+        total = mpmath.mpf(0)
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            sa, sb = a - center, b - center
+            i0 = m0(sb) - m0(sa)
+            if functional == "quantile":
+                total += i0
+            elif abs(a + b - 2 * y) < 2 * nu:  # kernel |t - y|
+                i1 = m1(sb) - m1(sa) - (y - center) * i0
+                total += i1 if a >= y else -i1
+            else:  # kernel nu
+                total += nu * i0
+        return float(rate * DERIV_CONST[functional] * total)
+
+
+def _climatology_cases(n=60):
+    # perfbench's inputs: y ~ N(4, 15^2), x = y + N(0, 2^2), six decimals
+    rng = np.random.default_rng(29)
+    y = np.round(rng.normal(4.0, 15.0, n), 6)
+    x = np.round(y + rng.normal(0.0, 2.0, n), 6)
+    return [(10.0, *ARCTAN_SPECS[i % 3], x[i], y[i]) for i in range(n)]
+
+
+def _far_tail_cases():
+    ys = [sign * m for m in (1e3, 1e6, 1e9, 1e12, 1e15) for sign in (1.0, -1.0)]
+    xy = [(y + d, y) for y in ys for d in (1e-6, 1e-2, 1.0, 100.0, -1.0)]
+    return [(0.0, *ARCTAN_SPECS[i % 3], x, y) for i, (x, y) in enumerate(xy)]
+
+
+def _oracle_arctan_cases():
+    out = []
+    for y, delta, near_y, (kind, center), spec in CASES:
+        if kind == "arctan":
+            origin = round(y * 8) / 8 if near_y else 0.0
+            out.append((origin + center, *spec, y + delta, y))
+    return out
+
+
+def _pin_cases(n=100):
+    # the kernel pins' cases: |y| log-uniform up to 1e9, errors up to 1e4,
+    # a tenth of them exact
+    rng = np.random.default_rng(20220)
+    y = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-1.0, 9.0, n)
+    x = y + rng.standard_normal(n) * 10.0 ** rng.uniform(-2.0, 4.0, n)
+    x[::10] = y[::10]
+    return [(10.0, *ARCTAN_SPECS[i % 3], x[i], y[i]) for i in range(n)]
+
+
+def _normalized_pair(center):
+    return normalized_partition([ArctanLowerWeight(center), ArctanUpperWeight(center)])
+
+
+def test_arctan_components_are_right_in_their_own_digits():
+    # each component relative to itself, not to the total: a few ulp on
+    # ordinary and far-tail data, the quadrature's own tolerance where
+    # |x - y| reaches 1e12
+    eps = 2.0**-52
+    sets = [
+        ("climatology", _climatology_cases(), arctan_pair, 8 * eps),
+        ("far tail", _far_tail_cases(), arctan_pair, 8 * eps),
+        ("oracle cases", _oracle_arctan_cases(), arctan_pair, 1e-10),
+        ("normalized", _pin_cases(), _normalized_pair, 1e-12),
+    ]
+    for name, cases, build, bound in sets:
+        for center, functional, param, x, y in cases:
+            comps = score_components(decompose(_spec(functional, param), build(center)), x, y)
+            for j in (0, 1):
+                want = _arctan_exact(center, j == 1, functional, param, x, y)
+                err = abs(comps[j] - want) / abs(want) if want else abs(comps[j])
+                assert err <= bound, (name, (center, functional, param, x, y), j, comps[j], want)

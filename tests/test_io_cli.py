@@ -1331,6 +1331,20 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_no_numpy_polynomial():
+    # no moment is integrated by a rule of its own
+    code = (
+        "import sys, veriscore.cli; "
+        "print([m for m in sys.modules if m.startswith('numpy.polynomial')])"
+    )
+    src = str(Path(veriscore.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "[]"
+
+
 def test_functional_value_loads_no_scipy():
     # functional values are exact integer arithmetic, with no scipy solver, and
     # the hedging tail means take the normal tail from math.erfc

@@ -3,9 +3,9 @@
 Each digest is the sha256 of the raw float64 bytes of a component
 array.  The cases are fixed by a seed and reach |y| = 1e9, so every
 path of the moment kernels is covered: the table's segments, the
-arctan pair's primitives and its Gauss-Legendre branch, and the
-vectorized quadrature of normalized weights.  A change to any of them
-that moves a single bit of a single component changes a digest.
+arctan pair's quadrature about its centre, and the vectorized
+quadrature of normalized weights.  A change to any of them that moves
+a single bit of a single component changes a digest.
 """
 
 import hashlib
@@ -78,20 +78,20 @@ COMPONENT_DIGESTS = {
     ("tabulated", "quantile_0.9"): "ce74b189a5a5f51963b381f4f905e690ab78a3674459018dc0feaa638a0fe7fa",
     ("tabulated", "expectile_0.5"): "4448b0e2e0ae7f87d82abaf633870fc8962aeeaa83c0405dae3850bed07fb231",
     ("tabulated", "huber_5"): "a2f50f6e537ecfa86d6074ffd28994a5ff3161b2b3b4e947be0ded0478e7ae10",
-    ("arctan_pair", "quantile_0.9"): "b88658f33889ccadeec83845bc32e04c58587d1dbcc75c297429e0bb60bb9b82",
-    ("arctan_pair", "expectile_0.5"): "975e083d59b77ebcf0e281b66b9818a6c78487365e0ddbc65e2a7340aeeafdcb",
-    ("arctan_pair", "huber_5"): "9266e76bf4129d1c4c4a3aa52f595615e989b48f448eacb36821898be214ca03",
-    ("normalized_arctan", "quantile_0.9"): "7f643136b2cd293e31fdd76340e84e732e8ec8b439e63a36a986e60e1850c8db",
-    ("normalized_arctan", "expectile_0.5"): "0eeefb4967cda2ff64de54cf0819ac9fb590478c7b5d0226054e0d397f36c02f",
-    ("normalized_arctan", "huber_5"): "058083bfb1b5ab8eaf4f03d67ab059675b80711e4c13c2e9dda67f2ac795ee44",
+    ("arctan_pair", "quantile_0.9"): "ce0b12013d74e923cde44078a4e350ab7b5da07c3ad7e6640f1886b805fdfd91",
+    ("arctan_pair", "expectile_0.5"): "dd1103319b06852c432d11ddb75bc944f580f4b966d5872e816f74c99c161691",
+    ("arctan_pair", "huber_5"): "3531eb8bb46b4dd3a75d778983719b4ce9349ee12a5b3eb78005946b762bfb6a",
+    ("normalized_arctan", "quantile_0.9"): "e11eade39734d42314158686d04248cbe438598149a078454814af87180e3839",
+    ("normalized_arctan", "expectile_0.5"): "ba53b6951a030f2d14e379b19105606713bb20c6465533a4f24978e5954987c4",
+    ("normalized_arctan", "huber_5"): "31bc055904a76f7c9fae96ff2e3b6d27c8607826fa01034edab479223d008a00",
 }
 
 CRPS_DIGESTS = {
     "rectangular": "cdea631dd716b5ffedf051dddbe5e9ca334862290b384d05fca6476d173224b8",
     "trapezoidal": "34e569fce0d99d52cf15cb3562c9e7f3f04092b7e4a1832ad0cec07025922695",
     "tabulated": "69252c1378237454e49eb051bb644f5e114001f0d0719dac470cd444daf0eede",
-    "arctan_pair": "e4278c8450e9c040db9a82a4caffee53d5753c9d1a4ca4753aa2cc0ab95bb80f",
-    "normalized_arctan": "8957c3bab08876840b8c552607cfebed689aa827b2df899de0d7772381bc4b8d",
+    "arctan_pair": "40a01aadc18847c19b7e6fa7e9eb041c6d81d5ad4c594bd17db47cab9a6de375",
+    "normalized_arctan": "40a01aadc18847c19b7e6fa7e9eb041c6d81d5ad4c594bd17db47cab9a6de375",
 }
 
 

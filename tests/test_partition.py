@@ -149,8 +149,7 @@ def test_arctan_antiderivatives_match_numeric():
         np.testing.assert_allclose(d0, w(t), rtol=0, atol=1e-9)
         d1 = (up[1] - down[1]) / (2 * h)
         np.testing.assert_allclose(d1, (t - y) * w(t), rtol=0, atol=1e-9)
-        # short spans take the Gauss-Legendre rule, long ones the
-        # antiderivative difference
+        # short spans far from the centre, long spans across it, both ways
         for lo, hi in ((2.0, 2.001), (40.0, 40.01), (-3.0, 7.0), (7.0, -3.0)):
             for k in (0, 1):
                 ref, _ = integrate.quad(
@@ -245,6 +244,17 @@ def test_arctan_pair_is_valid_partition():
     rep = p.report
     assert rep.passed and rep.max_sum_error <= 1e-12
     assert p.weights[1].kind == "arctan_upper"
+
+
+def test_weights_refuse_bool_parameters():
+    for build in (
+        lambda: arctan_pair(True),
+        lambda: ArctanUpperWeight(np.False_),
+        lambda: RectangularWeight(False, True),
+        lambda: TrapezoidalWeight(0.0, 1.0, 2.0, True),
+    ):
+        with pytest.raises(ValidationError, match="expected a number"):
+            build()
 
 
 def test_partition_rejects_gaps_and_overlaps():

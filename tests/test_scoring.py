@@ -147,6 +147,8 @@ BAD_PARAMETERS = [
     ("huber_mean", None, math.nan),
     ("huber_mean", 0.5, 1.0),
     ("mean", 0.5, None),
+    ("huber_mean", None, True),  # a bool is no real parameter
+    ("huber_mean", None, np.True_),
 ]
 
 
