@@ -112,16 +112,18 @@ def case_scores(spec: ScoringSpec, cases: CaseSet, partition=None):
     """
     x, y = cases.forecasts, cases.observations
     comps = None
-    try:
-        # an overflow shows as a score that require_finite names, not a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            totals = np.asarray(score(spec, x, y))
-            if partition is not None:
-                partition.domain.require(x, "forecast", cases.ids)
-                partition.domain.require(y, "observation", cases.ids)
+    # an overflow shows as a score that require_finite names, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        totals = np.asarray(score(spec, x, y))
+        if partition is not None:
+            partition.domain.require(x, "forecast", cases.ids)
+            partition.domain.require(y, "observation", cases.ids)
+            # an overflowed total is named before its components' quadrature fails
+            require_finite(cases.ids, totals)
+            try:
                 comps = score_components(decompose(spec, partition), x, y)
-    except NumericError as exc:
-        raise NumericError(f"case {cases.ids[exc.index]}: {exc}") from exc
+            except NumericError as exc:
+                raise NumericError(f"case {cases.ids[exc.index]}: {exc}") from exc
     require_finite(cases.ids, totals, comps)
     return totals, comps
 

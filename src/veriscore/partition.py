@@ -221,9 +221,6 @@ class WeightFunction:
         self._slope0 = np.concatenate([[0.0], self.slope, [0.0]])
         self._ramps = bool(np.any(self.slope))
         self._edges = np.concatenate([[-_INF], self.bounds, [_INF]])
-        # whether some finite y shifts a bound past the largest float
-        with np.errstate(over="ignore"):
-            self._far = bool(np.isinf(np.abs(self.bounds) + _MAX).any())
 
     def _params(self):
         # constructor arguments, arrays as lists
@@ -282,7 +279,7 @@ class WeightFunction:
         for v0, s, lo, hi in segments:
             if v0 == 0.0 and s == 0.0:
                 continue  # a zero segment adds exactly 0.0
-            if s or not self._far:
+            if s:
                 lo, hi = lo - y, hi - y
             else:
                 # a shifted edge past the largest float is held at it, so a
@@ -432,10 +429,12 @@ class _ArctanWeight(WeightFunction):
 
     def moment(self, k, p, q, y):
         # quadrature in the weight's own coordinate s = y - center + u,
-        # which keeps its digits where t = y + u would not; an offset past
-        # the largest float is clipped to it, where the weight is 0 or 1
+        # which keeps its digits where t = y + u would not; the quadrature
+        # takes finite limits only, so an offset or limit past the largest
+        # float is clipped to it, where the weight is 0 or 1
         with np.errstate(over="ignore"):
             sigma = np.clip(np.subtract(y, self.center), -_MAX, _MAX)
+        p, q = np.clip(p, -_MAX, _MAX), np.clip(q, -_MAX, _MAX)
         return gauss_kronrod(self._shape, p, q, sigma, k, (0.0,))
 
 

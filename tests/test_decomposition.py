@@ -8,6 +8,7 @@ from veriscore import (
     ArctanLowerWeight,
     ArctanUpperWeight,
     GeneratorSpec,
+    NumericError,
     PartitionOfUnity,
     RectangularWeight,
     RegionGenerator,
@@ -313,3 +314,21 @@ def test_components_stay_exact_where_a_step_edge_shifts_past_the_largest_float()
         mirrored = score_components(decompose(spec, rectangular_partition([-1e308])), [-x], [-y])
         assert mirrored[1, 0] == score(spec, -x, -y)
         assert mirrored[0, 0] == 0.0
+
+
+def test_arctan_components_at_extreme_offsets():
+    # an offset from the centre past the largest float is held at it, where
+    # the weights are 0 and 1; the quadrature's points may still overflow
+    spec = quantile_score(0.3)
+    with np.errstate(over="ignore"):
+        far = score_components(decompose(spec, arctan_pair(-1e308)), [1e308], [9.9e307])
+        mirrored = score_components(decompose(spec, arctan_pair(1e308)), [-1e308], [-9.9e307])
+    assert far[0, 0] == mirrored[1, 0] == 0.0
+    np.testing.assert_allclose(far[1], score(spec, 1e308, 9.9e307), rtol=1e-13, atol=0)
+    np.testing.assert_allclose(mirrored[0], score(spec, -1e308, -9.9e307), rtol=1e-13, atol=0)
+    # a span past about 1e90 from the centre needs more than the quadrature's
+    # panel limit: bisecting down to the centre takes log2(span) panels
+    for spec in (quantile_score(0.3), huber_loss(5.0)):
+        with pytest.raises(NumericError, match="^quadrature of element 1 on ") as info:
+            score_components(decompose(spec, arctan_pair(0.0)), [1.0, 1e100], [0.0, 0.0])
+        assert info.value.index == 1

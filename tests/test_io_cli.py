@@ -1158,8 +1158,14 @@ def test_cli_scores_that_are_not_finite_exit_3_before_any_file(tmp_path, capsys)
     (tmp_path / "ens.csv").write_text(
         "case_id,obs,m1,m2\nc0,1,0,2\nc1,-1.7e308,1.7e308,1.7e308\n"
     )
+    # x - y itself overflows
+    (tmp_path / "far.csv").write_text("case_id,forecast,obs\nc0,1,2\nc1,1e308,-1e308\n")
     part = tmp_path / "part.json"
     part.write_text('{"cutpoints": [0]}')
+    arctan = tmp_path / "arctan.json"
+    arctan.write_text(json.dumps({"weights": [
+        {"kind": "arctan_lower", "center": 0}, {"kind": "arctan_upper", "center": 0},
+    ]}))
     spec = ["--functional", "expectile", "--alpha", "0.5"]
     for argv in (
         ["score", *spec, "--input", "cases.csv"],
@@ -1169,6 +1175,12 @@ def test_cli_scores_that_are_not_finite_exit_3_before_any_file(tmp_path, capsys)
          "--input", "paired.csv"],
         ["crps", "--input", "ens.csv"],
         ["crps", "--partition", str(part), "--input", "ens.csv"],
+        ["score", *spec, "--partition", str(arctan), "--input", "cases.csv"],
+        ["score", *spec, "--partition", str(arctan), "--input", "far.csv"],
+        ["score", "--functional", "quantile", "--alpha", "0.3",
+         "--partition", str(arctan), "--input", "far.csv"],
+        ["compare", *spec, "--partition", str(arctan), "--input", "paired.csv"],
+        ["crps", "--partition", str(arctan), "--input", "ens.csv"],
     ):
         argv = [*argv[:-1], str(tmp_path / argv[-1]), "--out", str(tmp_path / "out")]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -1176,6 +1188,22 @@ def test_cli_scores_that_are_not_finite_exit_3_before_any_file(tmp_path, capsys)
         err = capsys.readouterr().err
         assert err.startswith("numeric error: case c1: ") and "not a finite score" in err
         assert not list(tmp_path.glob("out*")), argv
+
+
+def test_cli_arctan_span_past_the_panel_limit_exits_3_naming_the_case(tmp_path, capsys):
+    # a finite score whose arctan components span 1e100 from the centre
+    # need more quadrature panels than the routine allows
+    (tmp_path / "cases.csv").write_text("case_id,forecast,obs\nc0,1,2\nc1,1e100,0\n")
+    arctan = tmp_path / "arctan.json"
+    arctan.write_text(json.dumps({"weights": [
+        {"kind": "arctan_lower", "center": 0}, {"kind": "arctan_upper", "center": 0},
+    ]}))
+    argv = ["score", "--functional", "quantile", "--alpha", "0.3", "--partition",
+            str(arctan), "--input", str(tmp_path / "cases.csv"), "--out", str(tmp_path / "out")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: case c1: quadrature of element "), err
+    assert not list(tmp_path.glob("out*"))
 
 
 def test_cli_bad_parameters_exit_2_before_any_file(tmp_path, capsys):
